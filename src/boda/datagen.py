@@ -257,9 +257,15 @@ def load_dataset(path) -> Dataset:
         dim = len(header) - 3
         try:
             for row in reader:
+                if len(row) != len(header):
+                    raise ValidationError(f"dataset line {reader.line_num} "
+                                          f"has {len(row)} columns")
                 split, d, c = row[0], int(row[1]), int(row[2])
                 if split not in rows:
                     raise ValidationError(f"unknown split {split!r}")
+                if d < 0 or c < 0:
+                    raise ValidationError(f"dataset line {reader.line_num} "
+                                          f"has a negative id ({d},{c})")
                 rows[split].append((d, c, [float(v) for v in row[3:]]))
         except (ValueError, IndexError) as exc:
             if isinstance(exc, ValidationError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import inverse_shrunk
+from .numerics import BLOCK_ELEMS, inverse_shrunk
 from .stats import (
     FeatureStats,
     StatsStore,
@@ -130,8 +130,14 @@ def _distance_matrix(z, store: StatsStore, metric: str, eps_rel: float):
     if z.shape[1] != mus.shape[1]:
         raise ValidationError("feature dimension does not match statistics")
     if metric == "euclidean":
-        diff = z[:, None, :] - mus[None, :, :]
-        return np.sqrt(np.maximum((diff * diff).sum(axis=2), 0.0))
+        dist = np.empty((z.shape[0], mus.shape[0]))
+        step = max(1, BLOCK_ELEMS // mus.size)
+        for r in range(0, z.shape[0], step):
+            diff = z[r:r + step, None, :] - mus[None, :, :]
+            dist[r:r + step] = np.sqrt(
+                np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
+            )
+        return dist
     if metric == "mahalanobis":
         keys = store.keys()
         dist = np.empty((z.shape[0], len(keys)))
@@ -264,8 +270,10 @@ def alignment_grad(z, domains, labels, store: StatsStore, *,
     coeff = dl_ddist / safe_dist
     if metric == "euclidean":
         mus = store.mu_matrix()
-        diff = z_arr[:, None, :] - mus[None, :, :]
-        grad = np.einsum("nk,nkh->nh", coeff, diff)
+        step = max(1, BLOCK_ELEMS // mus.size)
+        for r in range(0, n, step):
+            diff = z_arr[r:r + step, None, :] - mus[None, :, :]
+            grad[r:r + step] = np.einsum("nk,nkh->nh", coeff[r:r + step], diff)
     else:
         for j, key in enumerate(keys):
             a = inverse_shrunk(store[key].sigma, eps_rel)
@@ -418,6 +426,7 @@ class BoundReport:
     theoretical: float
     gap: float
     relative_gap: float
+    stats: TransferStats  # the graph summaries the bound was evaluated at
 
 
 def verify_bound(z, domains, labels, nu: float = 1.0,
@@ -450,4 +459,4 @@ def verify_bound(z, domains, labels, nu: float = 1.0,
     theoretical = rhs_fn(ts, z.shape[0], len(obs_domains), len(obs_classes))
     gap = result.value - theoretical
     return BoundReport(result.value, theoretical, gap,
-                       gap / abs(theoretical) if theoretical != 0 else 0.0)
+                       gap / abs(theoretical) if theoretical != 0 else 0.0, ts)

@@ -166,19 +166,30 @@ def load_checkpoint(path) -> ModelParams:
     try:
         dims = data["dims"]
         sizes = [dims["input"], *dims["hidden"], dims["rep"]]
+        if len(data["encoder"]) != len(sizes) - 1:
+            raise ValidationError(f"checkpoint has {len(data['encoder'])} "
+                                  f"encoder layers, dims need {len(sizes) - 1}")
         weights, biases = [], []
-        for layer, (fan_in, fan_out) in zip(data["encoder"],
-                                            zip(sizes[:-1], sizes[1:])):
+        for layer, fan_in, fan_out in zip(data["encoder"], sizes[:-1],
+                                          sizes[1:]):
             weights.append(
                 np.array(layer["w"], dtype=np.float64).reshape(fan_out, fan_in)
             )
-            biases.append(np.array(layer["b"], dtype=np.float64))
+            biases.append(_vector(layer["b"], fan_out, "encoder bias"))
         cls_w = np.array(data["classifier"]["w"], dtype=np.float64).reshape(
             dims["classes"], dims["rep"]
         )
-        cls_b = np.array(data["classifier"]["b"], dtype=np.float64)
+        cls_b = _vector(data["classifier"]["b"], dims["classes"],
+                        "classifier bias")
         return ModelParams(weights, biases, cls_w, cls_b, dims["input"],
                            tuple(dims["hidden"]), dims["rep"],
                            dims["classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed checkpoint: {exc}")
+
+
+def _vector(values, size: int, what: str) -> np.ndarray:
+    v = np.array(values, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValidationError(f"{what} has shape {v.shape}, expected ({size},)")
+    return v

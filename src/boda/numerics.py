@@ -1,21 +1,20 @@
 """Dense symmetric linear algebra and deterministic randomness.
 
-Everything here is small-matrix, float64 work: the matrices are at most a
-few hundred rows (covariances of learned representations, dissimilarity
-matrices over domain-class pairs), so a cyclic Jacobi eigensolver is both
-sufficient and easy to trust.
+Everything here is dense float64 work: covariances of learned
+representations and dissimilarity matrices over domain-class pairs. The
+symmetric eigensolver is LAPACK's ``eigh`` (through numpy) with no size
+cap.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
-MAX_EIG_DIM = 512
-_MAX_SWEEPS = 64
+# Upper bound on the float64 elements of one blocked distance temporary
+# (8 MB), so N x K x h passes never materialise at full size.
+BLOCK_ELEMS = 1 << 20
 
 
 def _as_square_float(m) -> np.ndarray:
@@ -37,71 +36,30 @@ def check_symmetric(m, tol: float = 1e-8) -> np.ndarray:
 
 
 def sym_eig(m, tol: float = 1e-8):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
     m : (n, n) array_like
-        Symmetric matrix, n <= 512.
+        Symmetric matrix, any size.
     tol : float
         Symmetry validation tolerance (relative to the largest entry).
 
     Returns
     -------
     eigenvalues : (n,) ndarray
-        Sorted in descending order.
+        Sorted in descending order; ties keep LAPACK's order.
     eigenvectors : (n, n) ndarray
-        Orthonormal, column k pairs with eigenvalue k.
+        Orthonormal, column k pairs with eigenvalue k. Each column is
+        signed so that its largest-magnitude entry (the first, on ties) is
+        positive, which makes the decomposition deterministic.
     """
-    a = check_symmetric(m, tol).copy()
-    n = a.shape[0]
-    if n > MAX_EIG_DIM:
-        raise ValidationError(f"matrix dimension {n} exceeds {MAX_EIG_DIM}")
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-
-    off_tol = 1e-13 * (1.0 + float(np.abs(a).max()))
-    converged = False
-    off_diag = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(off_diag, False)
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.sqrt((a[off_diag] ** 2).sum()))
-        if off <= off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff  # tiny angle; avoids overflow in theta**2
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # a <- G a G^T, rows first then columns.
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged:
-        raise NumericalError("Jacobi sweeps did not converge")
-
-    evals = np.diag(a).copy()
+    evals, evecs = np.linalg.eigh(check_symmetric(m, tol))
     order = np.argsort(-evals, kind="stable")
-    return evals[order], v[:, order]
+    evals, evecs = evals[order], evecs[:, order]
+    lead = evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])]
+    evecs *= np.where(lead < 0, -1.0, 1.0)
+    return evals, evecs
 
 
 def inverse_shrunk(sigma, eps_rel: float = 1e-3) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import inverse_shrunk, sym_eig
+from .numerics import BLOCK_ELEMS, inverse_shrunk, sym_eig
 
 
 @dataclass
@@ -79,14 +79,19 @@ class StatsStore:
 def group_by_pair(z, domains, labels) -> dict:
     """Group feature rows by (domain, class) key, preserving row order."""
     z = np.asarray(z, dtype=np.float64)
-    domains = np.asarray(domains)
-    labels = np.asarray(labels)
-    groups = {}
-    for d in np.unique(domains):
-        for c in np.unique(labels[domains == d]):
-            mask = (domains == d) & (labels == c)
-            groups[(int(d), int(c))] = z[mask]
-    return groups
+    d = np.asarray(domains, dtype=np.int64)
+    c = np.asarray(labels, dtype=np.int64)
+    if d.size == 0:
+        return {}
+    # One integer per pair, domain-major; a stable sort keeps each group's
+    # rows in their original order.
+    code = (d - d.min()) * (int(c.max() - c.min()) + 1) + (c - c.min())
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+    return {
+        (int(d[order[start]]), int(c[order[start]])): z[rows]
+        for start, rows in zip(starts, np.split(order, starts[1:]))
+    }
 
 
 def compute_stats(features_by_key: dict) -> StatsStore:
@@ -171,23 +176,39 @@ class TransferabilityGraph:
 def build_graph(store: StatsStore, features_by_key: dict,
                 metric: str = "euclidean", eps_rel: float = 1e-3
                 ) -> TransferabilityGraph:
-    """Full directed transferability matrix over the sampled pairs."""
+    """Full directed transferability matrix over the sampled pairs.
+
+    Row i is ``transferability`` from pair i's samples to every centroid,
+    over blocks of at most about ``BLOCK_ELEMS`` differences ``z - mu``
+    (exact near a centroid, where an expanded square would cancel).
+    """
     keys = [tuple(k) for k in sorted(features_by_key)]
     for key in keys:
         if key not in store:
             raise ValidationError(f"no statistics for sampled pair {key}")
+    if metric not in ("euclidean", "mahalanobis"):
+        raise ValidationError(f"unknown metric {metric!r}")
     k_count = len(keys)
     weights = np.zeros((k_count, k_count))
-    sigma_invs = None
+    mus = np.array([store[k].mu for k in keys])
     if metric == "mahalanobis":
-        sigma_invs = [inverse_shrunk(store[k].sigma, eps_rel) for k in keys]
-    for i, ki in enumerate(keys):
-        src = np.asarray(features_by_key[ki], dtype=np.float64)
-        for j, kj in enumerate(keys):
-            weights[i, j] = transferability(
-                src, store[kj].mu, metric,
-                sigma_invs[j] if sigma_invs is not None else None,
-            )
+        sigma_invs = np.array(
+            [inverse_shrunk(store[k].sigma, eps_rel) for k in keys]
+        )
+    for i, key in enumerate(keys):
+        src = np.asarray(features_by_key[key], dtype=np.float64)
+        if src.ndim != 2 or src.size == 0 or src.shape[1] != mus.shape[1]:
+            raise ValidationError(f"pair {key} needs a nonempty (n, h) sample")
+        step = max(1, BLOCK_ELEMS // src.size)
+        for j in range(0, k_count, step):
+            diff = mus[j:j + step, None, :] - src[None, :, :]
+            if metric == "euclidean":
+                sq = np.square(diff, out=diff).sum(axis=2)
+            else:
+                sq = np.maximum(
+                    ((diff @ sigma_invs[j:j + step]) * diff).sum(axis=2), 0.0
+                )
+            weights[i, j:j + step] = np.sqrt(sq).mean(axis=1)
     return TransferabilityGraph(keys, weights)
 
 
@@ -217,9 +238,9 @@ def transfer_stats(graph: TransferabilityGraph, nu: Optional[float] = None,
     ``(N_dst / N_src) ** nu`` to produce the calibrated variants.
     """
     keys = graph.keys
-    domains = {k[0] for k in keys}
-    classes = {k[1] for k in keys}
-    if len(domains) < 2 or len(classes) < 2:
+    dom = np.array([k[0] for k in keys])
+    cls = np.array([k[1] for k in keys])
+    if len(np.unique(dom)) < 2 or len(np.unique(cls)) < 2:
         raise ValidationError("need >= 2 domains and >= 2 classes with data")
 
     if nu is not None:
@@ -231,34 +252,25 @@ def transfer_stats(graph: TransferabilityGraph, nu: Optional[float] = None,
         if np.any(n < 1):
             raise ValidationError("calibration needs a positive count per pair")
 
-    sums = {"alpha": [], "beta": [], "gamma": []}
-    cal_sums = {"alpha": [], "beta": [], "gamma": []}
-    for i, (d, c) in enumerate(keys):
-        for j, (d2, c2) in enumerate(keys):
-            if i == j:
-                continue
-            if c == c2 and d != d2:
-                bucket = "alpha"
-            elif d == d2:
-                bucket = "beta"
-            else:
-                bucket = "gamma"
-            w = graph.weights[i, j]
-            sums[bucket].append(w)
-            if nu is not None:
-                cal_sums[bucket].append((n[j] / n[i]) ** nu * w)
-
-    for name, vals in sums.items():
-        if not vals:
+    same_dom = dom[:, None] == dom[None, :]
+    same_cls = cls[:, None] == cls[None, :]
+    masks = {
+        "alpha": same_cls & ~same_dom,
+        "beta": same_dom & ~np.eye(len(keys), dtype=bool),
+        "gamma": ~same_dom & ~same_cls,
+    }
+    for name, mask in masks.items():
+        if not mask.any():
             raise ValidationError(f"no ordered pairs contribute to {name}")
-    plain = {name: float(np.mean(vals)) for name, vals in sums.items()}
+    plain = {name: float(graph.weights[mask].mean())
+             for name, mask in masks.items()}
     calibrated = None
     if nu is not None:
+        cal_weights = (n[None, :] / n[:, None]) ** nu * graph.weights
         calibrated = CalibratedStats(
             nu=float(nu),
-            alpha=float(np.mean(cal_sums["alpha"])),
-            beta=float(np.mean(cal_sums["beta"])),
-            gamma=float(np.mean(cal_sums["gamma"])),
+            **{name: float(cal_weights[mask].mean())
+               for name, mask in masks.items()},
         )
     return TransferStats(plain["alpha"], plain["beta"], plain["gamma"], calibrated)
 

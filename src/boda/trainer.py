@@ -114,23 +114,25 @@ def _full_pass_stats(params, ds: Dataset):
 
 
 def _diagnostics(params, ds: Dataset, nu: float):
-    """(alpha, beta, gamma, bound_gap) of the current representations."""
+    """(alpha, beta, gamma, bound_gap) of the current representations.
+
+    The graph comes from the bound check, or is built here when that check
+    rejects an incomplete grid.
+    """
     z = encode_features(params, ds.train)
-    groups = group_by_pair(z, ds.train.domain, ds.train.label)
-    store = compute_stats(groups)
-    try:
-        graph = build_graph(store, groups)
-        ts = transfer_stats(graph)
-        alpha, beta, gamma = ts.alpha, ts.beta, ts.gamma
-    except ValidationError:
-        alpha = beta = gamma = float("nan")
     try:
         report = losses.verify_bound(z, ds.train.domain, ds.train.label,
                                      nu=nu, calibrated=False)
-        bound_gap = report.gap
+        ts, bound_gap = report.stats, report.gap
     except ValidationError:
         bound_gap = float("nan")
-    return alpha, beta, gamma, bound_gap
+        groups = group_by_pair(z, ds.train.domain, ds.train.label)
+        store = compute_stats(groups)
+        try:
+            ts = transfer_stats(build_graph(store, groups))
+        except ValidationError:
+            return float("nan"), float("nan"), float("nan"), bound_gap
+    return ts.alpha, ts.beta, ts.gamma, bound_gap
 
 
 def _val_accuracy(params, split) -> float:

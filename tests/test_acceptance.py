@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from boda import cli, losses, model, trainer
 from boda.datagen import generate, save_spec
@@ -138,6 +139,7 @@ def test_criterion_4_gradient_checks():
           f"full-model {full_err:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_5_bound_tightness_after_training():
     started = time.time()
     gaps = []
@@ -158,6 +160,7 @@ def test_criterion_5_bound_tightness_after_training():
           + f" over 3 seeds, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_alignment_beats_erm_under_divergence():
     gaps = []
     for seed in range(5):
@@ -176,6 +179,7 @@ def test_criterion_6_alignment_beats_erm_under_divergence():
           + f"; mean {mean_gap:+.2f} points")
 
 
+@pytest.mark.slow
 def test_criterion_7_transferability_accuracy_correlation():
     ds = generate(divergent_spec(seed=700))
     base = TrainConfig(steps=5000, eval_every=5000, omega=0.0)
@@ -186,6 +190,7 @@ def test_criterion_7_transferability_accuracy_correlation():
           f"over 20 ERM trials")
 
 
+@pytest.mark.slow
 def test_criterion_8_decoupling_benefit():
     changes = []
     for seed in range(5):
@@ -287,14 +292,15 @@ def test_criterion_11_cli_determinism(tmp_path):
         steps=40, batch_per_domain=8, eval_every=20, seed=5,
         hidden=(12,), rep_dim=5,
     ))))
-    ckpts = []
+    ckpts, logs = [], []
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert cli.main(["train", "--data", str(tmp_path / "d1.csv"),
                          "--config", str(config), "--out", str(out)]) == 0
         ckpts.append((out / "checkpoint.json").read_bytes())
-        logs = (out / "log.csv").read_bytes()
+        logs.append((out / "log.csv").read_bytes())
     assert ckpts[0] == ckpts[1]
+    assert logs[0] == logs[1]
 
     # sweep twice with the same seed
     sweeps = []

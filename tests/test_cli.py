@@ -164,6 +164,26 @@ class TestAnalyze:
         assert len(graph["keys"]) == nonzero
         assert [0, 0] not in graph["keys"]
 
+    def test_grid_above_512_pairs(self, tmp_path):
+        # 2 x 257 = 514 pairs: past the size cap of the earlier eigensolver
+        from boda import model
+
+        spec = tiny_spec(seed=19, num_classes=257, max_count=2, ratio=1.0,
+                         test_per_pair=1, val_per_pair=1)
+        spec_path = tmp_path / "wide.json"
+        save_spec(spec, spec_path)
+        data_path = tmp_path / "wide.csv"
+        assert cli.main(["gen", "--spec", str(spec_path),
+                         "--out", str(data_path)]) == 0
+        ckpt = tmp_path / "untrained.json"
+        model.save_checkpoint(model.init(4, (8,), 4, 257, seed=1), ckpt)
+        out = tmp_path / "wide_analysis"
+        assert cli.main(["analyze", "--checkpoint", str(ckpt),
+                         "--data", str(data_path), "--out", str(out)]) == 0
+        with open(out / "mds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 257
+
     def test_nu_zero_calibrated_equals_plain(self, tmp_path, dataset_path,
                                              run_dir):
         out = tmp_path / "analysis0"
@@ -175,6 +195,57 @@ class TestAnalyze:
         assert stats["calibrated"]["alpha"] == stats["alpha"]
         assert stats["calibrated"]["beta"] == stats["beta"]
         assert stats["calibrated"]["gamma"] == stats["gamma"]
+
+
+def _corrupt_layers(ckpt):
+    ckpt["encoder"] = ckpt["encoder"][:-1]
+
+
+def _corrupt_bias(ckpt):
+    ckpt["encoder"][0]["b"] = ckpt["encoder"][0]["b"][:-1]
+
+
+def _corrupt_classifier_bias(ckpt):
+    ckpt["classifier"]["b"] = ckpt["classifier"]["b"] + [0.0]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("corrupt", [_corrupt_layers, _corrupt_bias,
+                                         _corrupt_classifier_bias])
+    def test_checkpoint_shape_exit_2(self, tmp_path, dataset_path, run_dir,
+                                     capsys, corrupt):
+        ckpt = json.loads((run_dir / "checkpoint.json").read_text())
+        corrupt(ckpt)
+        bad = tmp_path / "bad_ckpt.json"
+        bad.write_text(json.dumps(ckpt))
+        code = cli.main(["analyze", "--checkpoint", str(bad),
+                         "--data", str(dataset_path),
+                         "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["drop_column", "extra_column",
+                                      "negative_domain", "negative_class"])
+    def test_dataset_row_exit_2(self, tmp_path, dataset_path, run_dir,
+                                capsys, edit):
+        lines = dataset_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        if edit == "drop_column":
+            fields = fields[:-1]
+        elif edit == "extra_column":
+            fields = fields + ["0.5"]
+        elif edit == "negative_domain":
+            fields[1] = "-1"
+        else:
+            fields[2] = "-2"
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = cli.main(["analyze",
+                         "--checkpoint", str(run_dir / "checkpoint.json"),
+                         "--data", str(bad), "--out", str(tmp_path / "a")])
+        assert code == 2
+        assert "dataset line 6" in capsys.readouterr().err
 
 
 class TestVerifyBound:

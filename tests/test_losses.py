@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boda import losses
 from boda.errors import ValidationError
 from boda.gradcheck import central_difference, relative_error
 from boda.losses import (
@@ -27,7 +28,10 @@ from boda.stats import (
     StatsStore,
     TransferStats,
     CalibratedStats,
+    build_graph,
     compute_stats,
+    group_by_pair,
+    transfer_stats,
 )
 
 from conftest import random_features, random_store
@@ -353,6 +357,23 @@ class TestGradients:
             boda_grad(np.zeros(2), (0, 0), store)
 
 
+class TestBlockedDistances:
+    # One sample row per block must reproduce the single-block result
+    # bit for bit: blocking splits rows, not the arithmetic of a row.
+    @pytest.mark.parametrize("variant", ["da", "boda", "calibrated_boda"])
+    def test_row_blocks_bitwise_equal(self, variant, monkeypatch):
+        z, doms, labs, groups = random_features(make_rng(31), 3, 4, 5,
+                                                max_count=20)
+        store = compute_stats(groups)
+        whole, grad = grad_by_variant(variant, z, doms, labs, store)
+        monkeypatch.setattr(losses, "BLOCK_ELEMS", 1)
+        blocked, grad_b = grad_by_variant(variant, z, doms, labs, store)
+        loss_b = loss_by_variant(variant, z, doms, labs, store)
+        assert blocked.value == whole.value == loss_b.value
+        np.testing.assert_array_equal(blocked.per_sample, whole.per_sample)
+        np.testing.assert_array_equal(grad_b, grad)
+
+
 class TestCeLoss:
     def test_uniform_logits(self):
         loss, grad = ce_loss(np.zeros(10), 3)
@@ -448,6 +469,17 @@ class TestVerifyBound:
             nu = [0.5, 1.0, 1.5][i % 3]
             report = verify_bound(z, doms, labs, nu=nu, calibrated=calibrated)
             assert report.gap >= -1e-9
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_report_carries_its_transfer_stats(self, calibrated):
+        z, doms, labs, _ = random_features(make_rng(25), 3, 3, 4)
+        report = verify_bound(z, doms, labs, nu=0.7, calibrated=calibrated)
+        groups = group_by_pair(z, doms, labs)
+        store = compute_stats(groups)
+        counts = {k: store[k].count for k in store.keys()}
+        ts = transfer_stats(build_graph(store, groups),
+                            nu=0.7 if calibrated else None, counts=counts)
+        assert report.stats == ts
 
     def test_incomplete_grid_rejected(self):
         rng = make_rng(23)

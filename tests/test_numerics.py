@@ -49,6 +49,29 @@ class TestSymEig:
             resid = np.abs(m @ v - lam * v).max()
             assert resid <= 1e-8 * (1.0 + np.abs(m).max())
 
+    def test_above_former_size_cap(self):
+        # n = 600 is past the 512 limit of the earlier Jacobi solver.
+        n = 600
+        m = random_symmetric(np.random.default_rng(600), n)
+        evals, evecs = sym_eig(m)
+        scale = 1.0 + np.abs(m).max()
+        assert np.abs(evecs @ np.diag(evals) @ evecs.T - m).max() \
+            <= 1e-8 * scale
+        assert np.abs(evecs.T @ evecs - np.eye(n)).max() <= 1e-8
+        assert np.all(np.diff(evals) <= 0.0)
+        lead = evecs[np.abs(evecs).argmax(axis=0), np.arange(n)]
+        assert np.all(lead > 0)
+        evals2, evecs2 = sym_eig(m.copy())
+        assert evals2.tobytes() == evals.tobytes()
+        assert evecs2.tobytes() == evecs.tobytes()
+
+    def test_sign_convention_largest_entry_positive(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 5, 9):
+            evals, evecs = sym_eig(random_symmetric(rng, n))
+            lead = evecs[np.abs(evecs).argmax(axis=0), np.arange(n)]
+            assert np.all(lead > 0)
+
     def test_rejects_asymmetric(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValidationError):

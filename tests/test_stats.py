@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from boda import stats
 from boda.errors import ValidationError
-from boda.numerics import make_rng
+from boda.numerics import inverse_shrunk, make_rng
 from boda.stats import (
     FeatureStats,
     StatsStore,
@@ -167,6 +168,118 @@ class TestBuildGraph:
         loaded = load_graph(path)
         assert loaded.keys == graph.keys
         np.testing.assert_allclose(loaded.weights, graph.weights)
+
+
+def graph_oracle(store, groups, metric):
+    """Per-pair loop over ``transferability``: the graph's definition."""
+    keys = sorted(groups)
+    weights = np.empty((len(keys), len(keys)))
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            inv = (inverse_shrunk(store[kj].sigma, 1e-3)
+                   if metric == "mahalanobis" else None)
+            weights[i, j] = transferability(groups[ki], store[kj].mu,
+                                            metric, inv)
+    return weights
+
+
+def transfer_stats_oracle(graph, nu=None, counts=None):
+    """Ordered-pair loop over the graph: (alpha, beta, gamma) and, with
+    ``nu``, their count-calibrated variants."""
+    sums = {"alpha": [], "beta": [], "gamma": []}
+    cal = {"alpha": [], "beta": [], "gamma": []}
+    for i, (d, c) in enumerate(graph.keys):
+        for j, (d2, c2) in enumerate(graph.keys):
+            if i == j:
+                continue
+            if c == c2 and d != d2:
+                bucket = "alpha"
+            elif d == d2:
+                bucket = "beta"
+            else:
+                bucket = "gamma"
+            w = graph.weights[i, j]
+            sums[bucket].append(w)
+            if nu is not None:
+                ratio = counts[graph.keys[j]] / counts[graph.keys[i]]
+                cal[bucket].append(ratio ** nu * w)
+    plain = [float(np.mean(sums[b])) for b in ("alpha", "beta", "gamma")]
+    if nu is None:
+        return plain, None
+    return plain, [float(np.mean(cal[b])) for b in ("alpha", "beta", "gamma")]
+
+
+@pytest.fixture()
+def uneven_grid():
+    """3 x 5 grid, counts 1..30 per pair, one pair without data."""
+    _, _, _, groups = random_features(make_rng(8), 3, 5, 4, max_count=30)
+    del groups[(1, 2)]
+    return compute_stats(groups), groups
+
+
+class TestArrayPassesMatchLoops:
+    # A tiny block budget splits every source pair's destinations into
+    # several blocks; the default budget computes each row in one block.
+    @pytest.mark.parametrize("block", [None, 40])
+    def test_build_graph_euclidean_exact(self, uneven_grid, monkeypatch,
+                                         block):
+        if block is not None:
+            monkeypatch.setattr(stats, "BLOCK_ELEMS", block)
+        store, groups = uneven_grid
+        graph = build_graph(store, groups)
+        assert graph.keys == sorted(groups)
+        np.testing.assert_array_equal(graph.weights,
+                                      graph_oracle(store, groups, "euclidean"))
+
+    @pytest.mark.parametrize("block", [None, 40])
+    def test_build_graph_mahalanobis(self, uneven_grid, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(stats, "BLOCK_ELEMS", block)
+        store, groups = uneven_grid
+        graph = build_graph(store, groups, metric="mahalanobis")
+        # matmul and einsum sum h x h products in different orders
+        np.testing.assert_allclose(
+            graph.weights, graph_oracle(store, groups, "mahalanobis"),
+            rtol=1e-12, atol=0.0,
+        )
+
+    def test_unknown_metric_rejected(self, uneven_grid):
+        store, groups = uneven_grid
+        with pytest.raises(ValidationError):
+            build_graph(store, groups, metric="cosine")
+
+    def test_transfer_stats_plain_and_calibrated(self, uneven_grid):
+        store, groups = uneven_grid
+        graph = build_graph(store, groups)
+        counts = {k: store[k].count for k in store.keys()}
+        ts = transfer_stats(graph, nu=1.3, counts=counts)
+        plain, cal = transfer_stats_oracle(graph, nu=1.3, counts=counts)
+        assert [ts.alpha, ts.beta, ts.gamma] == plain
+        np.testing.assert_allclose(
+            [ts.calibrated.alpha, ts.calibrated.beta, ts.calibrated.gamma],
+            cal, rtol=1e-13, atol=0.0,
+        )
+        ts_plain = transfer_stats(graph)
+        assert ts_plain.calibrated is None
+        assert [ts_plain.alpha, ts_plain.beta, ts_plain.gamma] == plain
+
+    def test_group_by_pair_keeps_row_order(self):
+        rng = np.random.default_rng(9)
+        n = 300
+        domains = rng.integers(-1, 3, n)
+        labels = rng.integers(0, 6, n)
+        z = np.column_stack([np.arange(n, dtype=float), rng.normal(size=n)])
+        groups = group_by_pair(z, domains, labels)
+        expected = sorted({(int(d), int(c)) for d, c in zip(domains, labels)})
+        assert list(groups) == expected
+        for (d, c), rows in groups.items():
+            np.testing.assert_array_equal(
+                rows, z[(domains == d) & (labels == c)]
+            )
+        assert sum(len(v) for v in groups.values()) == n
+
+    def test_group_by_pair_empty(self):
+        assert group_by_pair(np.zeros((0, 3)), [], []) == {}
 
 
 class TestTransferStats:

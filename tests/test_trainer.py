@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from boda import trainer
+from boda import losses, model, stats, trainer
 from boda.datagen import generate
 from boda.errors import ValidationError
 from boda.trainer import TrainConfig, retrain_classifier, sweep, train
@@ -84,6 +84,54 @@ class TestTrain:
         assert all(np.all(np.isfinite(a)) for a in params.all_arrays())
         # the ragged grid makes the bound check inapplicable
         assert np.isnan(log.rows[-1].bound_gap)
+
+
+class TestDiagnostics:
+    """One diagnostics pass builds one transferability graph, whether the
+    bound check accepts the grid or rejects it."""
+
+    def _count_graphs(self, monkeypatch):
+        calls = []
+        original = stats.build_graph
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "build_graph", counting)
+        monkeypatch.setattr(trainer, "build_graph", counting)
+        return calls
+
+    def _expected(self, params, ds):
+        z = trainer.encode_features(params, ds.train)
+        groups = stats.group_by_pair(z, ds.train.domain, ds.train.label)
+        graph = stats.build_graph(stats.compute_stats(groups), groups)
+        return stats.transfer_stats(graph)
+
+    def test_complete_grid(self, tiny_dataset, monkeypatch):
+        params = model.init(tiny_dataset.input_dim, (8,), 4,
+                            tiny_dataset.num_classes, seed=4)
+        expected = self._expected(params, tiny_dataset)
+        calls = self._count_graphs(monkeypatch)
+        alpha, beta, gamma, gap = trainer._diagnostics(params, tiny_dataset,
+                                                       1.0)
+        assert len(calls) == 1
+        assert (alpha, beta, gamma) == (expected.alpha, expected.beta,
+                                        expected.gamma)
+        assert gap >= -1e-9
+
+    def test_incomplete_grid_falls_back(self, monkeypatch):
+        spec = dataclasses.replace(tiny_spec(seed=9),
+                                   zero_pairs=frozenset({(1, 1)}))
+        ds = generate(spec)
+        params = model.init(ds.input_dim, (8,), 4, ds.num_classes, seed=4)
+        expected = self._expected(params, ds)
+        calls = self._count_graphs(monkeypatch)
+        alpha, beta, gamma, gap = trainer._diagnostics(params, ds, 1.0)
+        assert len(calls) == 1
+        assert (alpha, beta, gamma) == (expected.alpha, expected.beta,
+                                        expected.gamma)
+        assert np.isnan(gap)
 
 
 class TestRetrainClassifier:
