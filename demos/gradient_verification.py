@@ -29,7 +29,7 @@ store = StatsStore([
     FeatureStats((1, 1), np.array([3.0, 3.0]), np.zeros((2, 2)), 5),   # easy negative
 ])
 z = np.array([0.1, 0.0])
-grad, detail = boda_grad(z, (0, 0), store)
+grad, detail = boda_grad("boda", z, (0, 0), store)
 print("\nper-destination softmin weights and distance gradients:")
 for key, p, g in zip(detail.keys, detail.probabilities,
                      detail.dloss_ddistance):

@@ -32,14 +32,13 @@ from .evaluation import (
 from .losses import (
     BodaGradientDetail,
     BoundReport,
-    LossConfig,
+    alignment_grad,
+    alignment_loss,
     balanced_distance,
     boda_grad,
-    boda_loss,
     boda_m_distance,
     calibration_coeff,
     ce_loss,
-    da_loss,
     joint_loss,
     theorem1_rhs,
     theorem2_rhs,

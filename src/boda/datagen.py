@@ -266,7 +266,8 @@ def load_dataset(path) -> Dataset:
                 if d < 0 or c < 0:
                     raise ValidationError(f"dataset line {reader.line_num} "
                                           f"has a negative id ({d},{c})")
-                rows[split].append((d, c, [float(v) for v in row[3:]]))
+                rows[split].append((d, c, [float(v) for v in row[3:]],
+                                    reader.line_num))
         except (ValueError, IndexError) as exc:
             if isinstance(exc, ValidationError):
                 raise
@@ -280,6 +281,10 @@ def load_dataset(path) -> Dataset:
         ds_ = np.array([it[0] for it in items], dtype=np.int64)
         cs_ = np.array([it[1] for it in items], dtype=np.int64)
         xs_ = np.array([it[2] for it in items], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(xs_).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"dataset line {items[bad[0]][3]} has a "
+                                  "non-finite feature")
         return Split(xs_, ds_, cs_)
 
     train, val, test = (to_split(rows[k]) for k in ("train", "val", "test"))

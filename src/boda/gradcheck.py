@@ -72,12 +72,12 @@ def run_gradcheck(seed: int, n_instances: int, h: float = 1e-5) -> dict:
     for _ in range(n_instances):
         store, z, key = random_instance(rng)
         for variant in losses.VARIANTS:
-            _, grad = losses.grad_by_variant(
+            _, grad = losses.alignment_grad(
                 variant, z, [key[0]], [key[1]], store, reduction="sum"
             )
             analytic = grad[0]
             numeric = central_difference(
-                lambda zz: losses.loss_by_variant(
+                lambda zz: losses.alignment_loss(
                     variant, zz, [key[0]], [key[1]], store, reduction="sum"
                 ).value,
                 z, h,

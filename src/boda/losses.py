@@ -14,6 +14,8 @@ positives. The variants differ only in how raw distances are scaled:
 * second-order ("boda_m"): calibrated, with Mahalanobis distances under the
   destination pair's (shrunk) covariance.
 
+``VARIANTS`` maps each name to its (balanced, calibrated, metric) scaling,
+and one kernel computes the loss, gradient and softmin detail of them all.
 Centroid statistics are treated as constants: gradients flow only through
 the sample's representation.
 
@@ -44,40 +46,13 @@ from .stats import (
 
 _DIST_FLOOR = 1e-12
 
-VARIANTS = ("da", "boda", "calibrated_boda", "boda_m")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Knobs shared by the alignment-loss family."""
-
-    variant: str = "calibrated_boda"
-    nu: float = 1.0
-    omega: float = 0.1
-    reduction: str = "mean"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        if not (math.isfinite(self.nu) and self.nu >= 0):
-            raise ValidationError("nu must be finite and nonnegative")
-        if not (math.isfinite(self.omega) and self.omega >= 0):
-            raise ValidationError("omega must be finite and nonnegative")
-        if self.reduction not in ("mean", "sum"):
-            raise ValidationError("reduction must be 'mean' or 'sum'")
-
-
-def variant_settings(variant: str):
-    """(balanced, calibrated, metric) triple for a named variant."""
-    table = {
-        "da": (False, False, "euclidean"),
-        "boda": (True, False, "euclidean"),
-        "calibrated_boda": (True, True, "euclidean"),
-        "boda_m": (True, True, "mahalanobis"),
-    }
-    if variant not in table:
-        raise ValidationError(f"unknown variant {variant!r}")
-    return table[variant]
+# variant -> (balanced, calibrated, metric)
+VARIANTS = {
+    "da": (False, False, "euclidean"),
+    "boda": (True, False, "euclidean"),
+    "calibrated_boda": (True, True, "euclidean"),
+    "boda_m": (True, True, "mahalanobis"),
+}
 
 
 def balanced_distance(d_raw: float, n_src: int) -> float:
@@ -96,10 +71,10 @@ def calibration_coeff(n_src: int, n_dst: int, nu: float) -> float:
     return (n_dst / n_src) ** nu
 
 
-def boda_m_distance(z, stats: FeatureStats, eps_rel: float = 1e-3) -> float:
+def boda_m_distance(z, stats: FeatureStats) -> float:
     """Mahalanobis distance to a pair's centroid under its shrunk covariance."""
     z = np.asarray(z, dtype=np.float64)
-    a = inverse_shrunk(stats.sigma, eps_rel)
+    a = inverse_shrunk(stats.sigma)
     diff = z - stats.mu
     return float(math.sqrt(max(float(diff @ a @ diff), 0.0)))
 
@@ -125,228 +100,137 @@ class BodaGradientDetail:
     dloss_ddistance: np.ndarray  # d(per-sample loss)/d(raw distance)
 
 
-def _distance_matrix(z, store: StatsStore, metric: str, eps_rel: float):
-    mus = store.mu_matrix()
+def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
+           want_grad):
+    """The alignment loss of a batch in one pass over its (N, K) distances.
+
+    Returns ``(result, grad, prob, dloss_ddist)``. Unless ``want_grad``,
+    only ``result`` is set; otherwise ``grad`` is the z-gradient of the
+    reduced loss, ``prob`` the (N, K) softmin (zero at each sample's own
+    pair) and ``dloss_ddist`` the derivative of each sample's loss with
+    respect to each raw distance (zero for non-contributing samples).
+    """
+    if variant not in VARIANTS:
+        raise ValidationError(f"unknown variant {variant!r}")
+    if reduction not in ("mean", "sum"):
+        raise ValidationError("reduction must be 'mean' or 'sum'")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValidationError("nu must be finite and nonnegative")
+    balanced, calibrated, metric = VARIANTS[variant]
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    domains = np.atleast_1d(np.asarray(domains, dtype=np.int64))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    n = z.shape[0]
+    if domains.shape != (n,) or labels.shape != (n,):
+        raise ValidationError("need one domain and one label per sample")
+    src = store.index(domains, labels)
+    if len(np.unique(store.key_domain)) < 2:
+        raise ValidationError("alignment loss needs >= 2 domains with statistics")
+    mus, counts = store.mu, store.counts
     if z.shape[1] != mus.shape[1]:
         raise ValidationError("feature dimension does not match statistics")
+
+    # Raw distances: exact differences, in row blocks of about BLOCK_ELEMS.
+    dist = np.empty((n, len(counts)))
+    step = max(1, BLOCK_ELEMS // mus.size)
     if metric == "euclidean":
-        dist = np.empty((z.shape[0], mus.shape[0]))
-        step = max(1, BLOCK_ELEMS // mus.size)
-        for r in range(0, z.shape[0], step):
+        for r in range(0, n, step):
             diff = z[r:r + step, None, :] - mus[None, :, :]
             dist[r:r + step] = np.sqrt(
                 np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
             )
-        return dist
-    if metric == "mahalanobis":
-        keys = store.keys()
-        dist = np.empty((z.shape[0], len(keys)))
-        for j, key in enumerate(keys):
-            a = inverse_shrunk(store[key].sigma, eps_rel)
-            diff = z - store[key].mu
+    else:
+        inverses = [inverse_shrunk(st.sigma) for st in store.values()]
+        for j, a in enumerate(inverses):
+            diff = z - mus[j]
             dist[:, j] = np.sqrt(
                 np.maximum(np.einsum("nh,hk,nk->n", diff, a, diff), 0.0)
             )
-        return dist
-    raise ValidationError(f"unknown metric {metric!r}")
 
+    weights = (1.0 / counts[src])[:, None] if balanced else np.ones((n, 1))
+    if calibrated:
+        weights = weights * (counts[None, :] / counts[src][:, None]) ** nu
+    # The loss alone needs no raw distance after this: scale in place.
+    scaled = np.multiply(weights, dist, out=None if want_grad else dist)
+    pos = (store.key_class[None, :] == labels[:, None]) \
+        & (store.key_domain[None, :] != domains[:, None])
+    npos = pos.sum(axis=1)
+    contributing = npos > 0
+    pos_sum = np.where(pos, scaled, 0.0).sum(axis=1)
 
-def _terms(z, domains, labels, store, *, balanced, calibrated, nu, metric,
-           eps_rel):
-    """Shared setup: scaled distances, masks, softmin probabilities."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-    domains = np.atleast_1d(np.asarray(domains, dtype=np.int64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    n = z.shape[0]
-    if calibrated and not balanced:
-        raise ValidationError("calibration applies to the balanced loss only")
-    if len(store) == 0:
-        raise ValidationError("statistics store is empty")
-    keys = store.keys()
-    if len({k[0] for k in keys}) < 2:
-        raise ValidationError("alignment loss needs >= 2 domains with statistics")
-    key_index = {k: i for i, k in enumerate(keys)}
-    src_idx = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        key = (int(domains[i]), int(labels[i]))
-        if key not in key_index:
-            raise ValidationError(f"sample pair {key} has no statistics")
-        src_idx[i] = key_index[key]
-
-    counts = store.count_vector()
-    dist = _distance_matrix(z, store, metric, eps_rel)
-
-    if balanced:
-        weights = np.repeat(1.0 / counts[src_idx][:, None], len(keys), axis=1)
-        if calibrated:
-            weights *= (counts[None, :] / counts[src_idx][:, None]) ** nu
-    else:
-        weights = np.ones((n, len(keys)))
-
-    scaled = weights * dist
-
-    key_dom = np.array([k[0] for k in keys])
-    key_cls = np.array([k[1] for k in keys])
-    valid = np.ones((n, len(keys)), dtype=bool)
-    valid[np.arange(n), src_idx] = False
-    pos = valid & (key_cls[None, :] == labels[:, None]) \
-        & (key_dom[None, :] != domains[:, None])
-
-    # Stable softmin over the valid destinations.
-    neg_scaled = np.where(valid, -scaled, -np.inf)
-    shift = neg_scaled.max(axis=1, keepdims=True)
-    expo = np.exp(neg_scaled - shift)
-    denom = expo.sum(axis=1, keepdims=True)
-    prob = expo / denom
+    # Stable softmin over every pair but the sample's own, in place.
+    prob = np.negative(scaled, out=scaled)
+    prob[np.arange(n), src] = -np.inf
+    shift = prob.max(axis=1, keepdims=True)
+    prob -= shift
+    np.exp(prob, out=prob)
+    denom = prob.sum(axis=1, keepdims=True)
+    prob /= denom
     lse = shift[:, 0] + np.log(denom[:, 0])
-    return z, n, keys, dist, weights, scaled, valid, pos, prob, lse
+
+    per_sample = np.full(n, np.nan)
+    per_sample[contributing] = pos_sum[contributing] / npos[contributing] \
+        + lse[contributing]
+    n_contrib = max(int(contributing.sum()), 1)
+    total = float(per_sample[contributing].sum())
+    result = AlignmentResult(total / n_contrib if reduction == "mean"
+                             else total, per_sample, contributing,
+                             int(n - contributing.sum()))
+    if not want_grad:
+        return result, None, None, None
+
+    dl_ddist = np.where(pos, 1.0 / np.maximum(npos, 1)[:, None], 0.0)
+    dl_ddist -= prob
+    dl_ddist[~contributing] = 0.0
+    dl_ddist *= weights
+    coeff = dl_ddist / np.maximum(dist, _DIST_FLOOR, out=dist)
+    grad = np.zeros_like(z)
+    if metric == "euclidean":
+        for r in range(0, n, step):
+            diff = z[r:r + step, None, :] - mus[None, :, :]
+            grad[r:r + step] = np.einsum("nk,nkh->nh", coeff[r:r + step], diff)
+    else:
+        for j, a in enumerate(inverses):
+            grad += coeff[:, j:j + 1] * ((z - mus[j]) @ a)
+    if reduction == "mean":
+        grad /= n_contrib
+    return result, grad, prob, dl_ddist
 
 
-def alignment_loss(z, domains, labels, store: StatsStore, *,
-                   balanced: bool, calibrated: bool = False, nu: float = 1.0,
-                   metric: str = "euclidean", eps_rel: float = 1e-3,
-                   reduction: str = "mean") -> AlignmentResult:
-    """Evaluate the alignment loss for a batch of representations.
+def alignment_loss(variant: str, z, domains, labels, store: StatsStore, *,
+                   nu: float = 1.0, reduction: str = "mean") -> AlignmentResult:
+    """Evaluate a variant's alignment loss for a batch of representations.
 
     Samples whose class appears in no other domain of the store contribute
     nothing and are reported via ``skipped``.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValidationError("reduction must be 'mean' or 'sum'")
-    _, n, _, _, _, scaled, _, pos, _, lse = _terms(
-        z, domains, labels, store, balanced=balanced, calibrated=calibrated,
-        nu=nu, metric=metric, eps_rel=eps_rel,
-    )
-    npos = pos.sum(axis=1)
-    contributing = npos > 0
-    per_sample = np.full(n, np.nan)
-    if contributing.any():
-        pos_mean = np.where(pos, scaled, 0.0).sum(axis=1)[contributing] \
-            / npos[contributing]
-        per_sample[contributing] = pos_mean + lse[contributing]
-    total = float(per_sample[contributing].sum()) if contributing.any() else 0.0
-    if reduction == "mean":
-        value = total / max(int(contributing.sum()), 1)
-    else:
-        value = total
-    return AlignmentResult(value, per_sample, contributing,
-                           int(n - contributing.sum()))
+    return _align(variant, z, domains, labels, store, nu, reduction, False)[0]
 
 
-def alignment_grad(z, domains, labels, store: StatsStore, *,
-                   balanced: bool, calibrated: bool = False, nu: float = 1.0,
-                   metric: str = "euclidean", eps_rel: float = 1e-3,
-                   reduction: str = "mean"):
+def alignment_grad(variant: str, z, domains, labels, store: StatsStore, *,
+                   nu: float = 1.0, reduction: str = "mean"):
     """Loss plus its gradient with respect to each representation.
 
     Centroids and covariances are constants; the gradient of the reduced
     loss lands on every contributing sample's ``z`` row (zero elsewhere).
     """
-    z_arr, n, keys, dist, weights, scaled, valid, pos, prob, lse = _terms(
-        z, domains, labels, store, balanced=balanced, calibrated=calibrated,
-        nu=nu, metric=metric, eps_rel=eps_rel,
-    )
-    npos = pos.sum(axis=1)
-    contributing = npos > 0
-    per_sample = np.full(n, np.nan)
-    if contributing.any():
-        pos_mean = np.where(pos, scaled, 0.0).sum(axis=1)[contributing] \
-            / npos[contributing]
-        per_sample[contributing] = pos_mean + lse[contributing]
-    n_contrib = max(int(contributing.sum()), 1)
-    total = float(per_sample[contributing].sum()) if contributing.any() else 0.0
-    value = total / n_contrib if reduction == "mean" else total
-
-    dl_dscaled = np.where(
-        pos, 1.0 / np.maximum(npos, 1)[:, None], 0.0
-    ) - np.where(valid, prob, 0.0)
-    dl_dscaled[~contributing] = 0.0
-    dl_ddist = weights * dl_dscaled
-
-    grad = np.zeros_like(z_arr)
-    safe_dist = np.maximum(dist, _DIST_FLOOR)
-    coeff = dl_ddist / safe_dist
-    if metric == "euclidean":
-        mus = store.mu_matrix()
-        step = max(1, BLOCK_ELEMS // mus.size)
-        for r in range(0, n, step):
-            diff = z_arr[r:r + step, None, :] - mus[None, :, :]
-            grad[r:r + step] = np.einsum("nk,nkh->nh", coeff[r:r + step], diff)
-    else:
-        for j, key in enumerate(keys):
-            a = inverse_shrunk(store[key].sigma, eps_rel)
-            diff = z_arr - store[key].mu
-            grad += coeff[:, j:j + 1] * (diff @ a)
-    if reduction == "mean":
-        grad /= n_contrib
-    result = AlignmentResult(value, per_sample, contributing,
-                             int(n - contributing.sum()))
+    result, grad, _, _ = _align(variant, z, domains, labels, store, nu,
+                                reduction, True)
     return result, grad
 
 
-# ---------------------------------------------------------------------------
-# Named surfaces
-# ---------------------------------------------------------------------------
-
-def da_loss(z, domains, labels, store: StatsStore, metric: str = "euclidean",
-            eps_rel: float = 1e-3, reduction: str = "mean") -> AlignmentResult:
-    """Unbalanced alignment loss (raw distances)."""
-    return alignment_loss(z, domains, labels, store, balanced=False,
-                          metric=metric, eps_rel=eps_rel, reduction=reduction)
-
-
-def boda_loss(z, domains, labels, store: StatsStore,
-              metric: str = "euclidean", nu: float = 1.0,
-              calibrated: bool = False, eps_rel: float = 1e-3,
-              reduction: str = "mean") -> AlignmentResult:
-    """Balanced alignment loss; optionally count-calibrated."""
-    return alignment_loss(z, domains, labels, store, balanced=True,
-                          calibrated=calibrated, nu=nu, metric=metric,
-                          eps_rel=eps_rel, reduction=reduction)
-
-
-def loss_by_variant(variant: str, z, domains, labels, store: StatsStore,
-                    nu: float = 1.0, eps_rel: float = 1e-3,
-                    reduction: str = "mean") -> AlignmentResult:
-    balanced, calibrated, metric = variant_settings(variant)
-    return alignment_loss(z, domains, labels, store, balanced=balanced,
-                          calibrated=calibrated, nu=nu, metric=metric,
-                          eps_rel=eps_rel, reduction=reduction)
-
-
-def grad_by_variant(variant: str, z, domains, labels, store: StatsStore,
-                    nu: float = 1.0, eps_rel: float = 1e-3,
-                    reduction: str = "mean"):
-    balanced, calibrated, metric = variant_settings(variant)
-    return alignment_grad(z, domains, labels, store, balanced=balanced,
-                          calibrated=calibrated, nu=nu, metric=metric,
-                          eps_rel=eps_rel, reduction=reduction)
-
-
-def boda_grad(z, key, store: StatsStore, metric: str = "euclidean",
-              nu: float = 1.0, calibrated: bool = False,
-              balanced: bool = True, eps_rel: float = 1e-3):
+def boda_grad(variant: str, z, key, store: StatsStore, nu: float = 1.0):
     """Per-sample loss gradient w.r.t. ``z`` plus its softmin detail."""
     domain, label = int(key[0]), int(key[1])
-    result, grad = alignment_grad(
-        z, [domain], [label], store, balanced=balanced, calibrated=calibrated,
-        nu=nu, metric=metric, eps_rel=eps_rel, reduction="sum",
-    )
+    result, grad, prob, dl_ddist = _align(variant, z, [domain], [label],
+                                          store, nu, "sum", True)
     if result.skipped:
         raise ValidationError("sample has no cross-domain positive pair")
-    _, _, keys, dist, weights, scaled, valid, pos, prob, _ = _terms(
-        np.asarray(z, dtype=np.float64)[None, :], [domain], [label], store,
-        balanced=balanced, calibrated=calibrated, nu=nu, metric=metric,
-        eps_rel=eps_rel,
-    )
-    mask = valid[0]
-    dl_dscaled = (pos[0] / max(int(pos[0].sum()), 1) - prob[0])[mask]
+    mask = (store.key_domain != domain) | (store.key_class != label)
     detail = BodaGradientDetail(
-        keys=[k for k, m in zip(keys, mask) if m],
+        keys=[k for k, m in zip(store.keys(), mask) if m],
         probabilities=prob[0][mask],
-        dloss_ddistance=weights[0][mask] * dl_dscaled,
+        dloss_ddistance=dl_ddist[0][mask],
     )
     return grad[0], detail
 
@@ -400,7 +284,11 @@ def _bound_rhs(alpha, beta, gamma, n_total, num_domains, num_classes) -> float:
         raise ValidationError("n_total must be positive")
     d, c, n = num_domains, num_classes, n_total
     expo = (c * d / n) * alpha - (c / n) * beta - (c * (d - 1) / n) * gamma
-    return n * math.log((d - 1) + d * (c - 1) * math.exp(expo))
+    try:
+        return n * math.log((d - 1) + d * (c - 1) * math.exp(expo))
+    except OverflowError:
+        # exp(expo) > 1e308, so dropping (d - 1) changes the log by < 1e-300.
+        return n * (expo + math.log(d * (c - 1)))
 
 
 def theorem1_rhs(ts: TransferStats, n_total: int, num_domains: int,
@@ -450,8 +338,8 @@ def verify_bound(z, domains, labels, nu: float = 1.0,
                     f"bound check needs data for every pair; ({d},{c}) missing"
                 )
     store = compute_stats(groups)
-    result = boda_loss(z, domains, labels, store, nu=nu,
-                       calibrated=calibrated, reduction="sum")
+    result = alignment_loss("calibrated_boda" if calibrated else "boda", z,
+                            domains, labels, store, nu=nu, reduction="sum")
     graph = build_graph(store, groups, metric="euclidean")
     counts = {k: store[k].count for k in store.keys()}
     ts = transfer_stats(graph, nu=nu if calibrated else None, counts=counts)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,17 +37,38 @@ class StatsStore:
     """Ordered map from (domain, class) to FeatureStats.
 
     Keys are kept domain-major, class-minor; pairs without samples are
-    simply absent.
+    simply absent. ``mu`` (K, h), ``counts`` (K,) and the key arrays
+    ``key_domain`` / ``key_class`` (K,) are stacked once, in key order.
     """
 
     def __init__(self, stats=None):
-        self._stats = {}
-        for st in stats or []:
-            self._stats[st.key] = st
-        self._reorder()
+        self._stats = dict(sorted({st.key: st for st in stats or []}.items()))
+        values = list(self._stats.values())
+        self.mu = np.stack([st.mu for st in values]) if values \
+            else np.zeros((0, 0))
+        self.counts = np.array([st.count for st in values], dtype=np.float64)
+        self.key_domain = np.array([k[0] for k in self._stats], dtype=np.int64)
+        self.key_class = np.array([k[1] for k in self._stats], dtype=np.int64)
 
-    def _reorder(self):
-        self._stats = {k: self._stats[k] for k in sorted(self._stats)}
+    def index(self, domains, labels) -> np.ndarray:
+        """Row of each sample's (domain, class) pair, in key order."""
+        if not self._stats:
+            raise ValidationError("statistics store is empty")
+        d = np.atleast_1d(np.asarray(domains, dtype=np.int64))
+        c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        # Domain-major integer codes: the sorted keys' codes ascend, and a
+        # class outside the keys' range can match no key.
+        d0, c0 = self.key_domain[0], self.key_class.min()
+        span = self.key_class.max() - c0 + 1
+        key_code = (self.key_domain - d0) * span + self.key_class - c0
+        code = (d - d0) * span + c - c0
+        idx = np.minimum(np.searchsorted(key_code, code), len(key_code) - 1)
+        found = (key_code[idx] == code) & (c >= c0) & (c - c0 < span)
+        if not found.all():
+            i = int(np.argmin(found))
+            raise ValidationError(
+                f"sample pair ({d[i]}, {c[i]}) has no statistics")
+        return idx
 
     def __contains__(self, key):
         return tuple(key) in self._stats
@@ -62,18 +84,6 @@ class StatsStore:
 
     def values(self):
         return list(self._stats.values())
-
-    def domains(self):
-        return sorted({k[0] for k in self._stats})
-
-    def classes(self):
-        return sorted({k[1] for k in self._stats})
-
-    def mu_matrix(self) -> np.ndarray:
-        return np.stack([st.mu for st in self._stats.values()])
-
-    def count_vector(self) -> np.ndarray:
-        return np.array([st.count for st in self._stats.values()], dtype=np.float64)
 
 
 def group_by_pair(z, domains, labels) -> dict:
@@ -174,8 +184,7 @@ class TransferabilityGraph:
 
 
 def build_graph(store: StatsStore, features_by_key: dict,
-                metric: str = "euclidean", eps_rel: float = 1e-3
-                ) -> TransferabilityGraph:
+                metric: str = "euclidean") -> TransferabilityGraph:
     """Full directed transferability matrix over the sampled pairs.
 
     Row i is ``transferability`` from pair i's samples to every centroid,
@@ -192,9 +201,7 @@ def build_graph(store: StatsStore, features_by_key: dict,
     weights = np.zeros((k_count, k_count))
     mus = np.array([store[k].mu for k in keys])
     if metric == "mahalanobis":
-        sigma_invs = np.array(
-            [inverse_shrunk(store[k].sigma, eps_rel) for k in keys]
-        )
+        sigma_invs = np.array([inverse_shrunk(store[k].sigma) for k in keys])
     for i, key in enumerate(keys):
         src = np.asarray(features_by_key[key], dtype=np.float64)
         if src.ndim != 2 or src.size == 0 or src.shape[1] != mus.shape[1]:
@@ -244,6 +251,8 @@ def transfer_stats(graph: TransferabilityGraph, nu: Optional[float] = None,
         raise ValidationError("need >= 2 domains and >= 2 classes with data")
 
     if nu is not None:
+        if not (math.isfinite(nu) and nu >= 0):
+            raise ValidationError("nu must be finite and nonnegative")
         if counts is None:
             counts = {}
         n = np.array(

@@ -40,14 +40,16 @@ class TrainConfig:
     eval_every: int = 250
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_per_domain < 1 or self.lr <= 0:
-            raise ValidationError("steps, batch_per_domain, lr must be positive")
+        if self.steps < 1 or self.batch_per_domain < 1:
+            raise ValidationError("steps and batch_per_domain must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError("lr must be finite and positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError("optimizer must be 'adam' or 'sgd'")
         if not 0.0 <= self.alpha_m <= 1.0:
             raise ValidationError("alpha_m must be in [0, 1]")
-        if self.omega < 0 or self.nu < 0:
-            raise ValidationError("omega and nu must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.omega, self.nu)):
+            raise ValidationError("omega and nu must be finite and nonnegative")
         if self.variant not in losses.VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}")
         if self.decouple_steps < 1 or self.eval_every < 1:
@@ -204,7 +206,7 @@ def train(ds: Dataset, cfg: TrainConfig):
         boda_value = 0.0
         grad_z = np.zeros_like(z)
         if use_alignment:
-            result, g_align = losses.grad_by_variant(
+            result, g_align = losses.alignment_grad(
                 cfg.variant, z, db, cb, store, nu=cfg.nu, reduction="mean"
             )
             boda_value = result.value

@@ -16,7 +16,7 @@ from boda import cli, losses, model, trainer
 from boda.datagen import generate, save_spec
 from boda.evaluation import accuracy_report, stats_accuracy_correlation
 from boda.gradcheck import central_difference, relative_error, run_gradcheck
-from boda.losses import boda_loss, da_loss, verify_bound
+from boda.losses import alignment_loss, verify_bound
 from boda.numerics import make_rng
 from boda.stats import (
     TransferabilityGraph,
@@ -119,15 +119,15 @@ def test_criterion_4_gradient_checks():
         set_flat(flat)
         z, logits, _ = model.forward(params, x)
         ce = losses.ce_loss_batch(logits, labs)[0]
-        align = boda_loss(z, doms, labs, store, calibrated=True,
-                          reduction="mean").value
+        align = alignment_loss("calibrated_boda", z, doms, labs, store,
+                               reduction="mean").value
         return losses.joint_loss(ce, align, omega)
 
     flat0 = np.concatenate([arr.ravel() for arr in arrays])
     z, logits, cache = model.forward(params, x)
     _, grad_logits = losses.ce_loss_batch(logits, labs)
-    _, g_align = losses.alignment_grad(z, doms, labs, store, balanced=True,
-                                       calibrated=True, reduction="mean")
+    _, g_align = losses.alignment_grad("calibrated_boda", z, doms, labs,
+                                       store, reduction="mean")
     gw, gb, gcw, gcb = model.backward(params, cache, omega * g_align,
                                       grad_logits)
     analytic = np.concatenate([g.ravel() for g in gw + gb + [gcw, gcb]])
@@ -221,8 +221,10 @@ def test_criterion_9_reductions_hold_exactly():
         z = rng.standard_normal((5, 4))
         doms = rng.integers(0, 2, size=5)
         labs = rng.integers(0, 3, size=5)
-        plain = da_loss(z, doms, labs, store, reduction="sum").value
-        balanced = boda_loss(z, doms, labs, store, reduction="sum").value
+        plain = alignment_loss("da", z, doms, labs, store,
+                               reduction="sum").value
+        balanced = alignment_loss("boda", z, doms, labs, store,
+                                  reduction="sum").value
         assert abs(balanced - plain) <= 1e-12
 
     # nu = 0: calibrated loss is bitwise the uncalibrated loss
@@ -230,8 +232,9 @@ def test_criterion_9_reductions_hold_exactly():
     z = rng.standard_normal((8, 4))
     doms = rng.integers(0, 3, size=8)
     labs = rng.integers(0, 3, size=8)
-    calibrated = boda_loss(z, doms, labs, store, calibrated=True, nu=0.0)
-    uncalibrated = boda_loss(z, doms, labs, store, calibrated=False)
+    calibrated = alignment_loss("calibrated_boda", z, doms, labs, store,
+                                nu=0.0)
+    uncalibrated = alignment_loss("boda", z, doms, labs, store)
     assert calibrated.value == uncalibrated.value
     np.testing.assert_array_equal(calibrated.per_sample,
                                   uncalibrated.per_sample)

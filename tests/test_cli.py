@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from boda import cli, trainer
-from boda.datagen import save_spec, spec_to_dict
+from boda import cli, model, trainer
+from boda.datagen import load_dataset, save_spec, spec_to_dict
 from boda.trainer import TrainConfig
 
-from conftest import tiny_spec
+from conftest import divergent_spec, tiny_spec
 
 
 @pytest.fixture()
@@ -225,7 +225,8 @@ class TestMalformedInputs:
         assert "validation error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["drop_column", "extra_column",
-                                      "negative_domain", "negative_class"])
+                                      "negative_domain", "negative_class",
+                                      "nan_feature", "inf_feature"])
     def test_dataset_row_exit_2(self, tmp_path, dataset_path, run_dir,
                                 capsys, edit):
         lines = dataset_path.read_text().splitlines()
@@ -236,8 +237,10 @@ class TestMalformedInputs:
             fields = fields + ["0.5"]
         elif edit == "negative_domain":
             fields[1] = "-1"
-        else:
+        elif edit == "negative_class":
             fields[2] = "-2"
+        else:
+            fields[3] = "nan" if edit == "nan_feature" else "-inf"
         lines[5] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
@@ -274,6 +277,70 @@ class TestVerifyBound:
                          "--data", str(dataset_path),
                          "--out", str(out)]) == 0
         assert json.loads(out.read_text())["gap"] >= -1e-9
+
+
+class TestParameterValidation:
+    # A non-finite or negative nu, lr or omega is an input error (exit 2)
+    # where it enters, not a NaN report or a traceback later on.
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-3"])
+    def test_analyze_bad_nu_exit_2(self, tmp_path, dataset_path, run_dir,
+                                   nu):
+        out = tmp_path / "a"
+        code = cli.main(["analyze",
+                         "--checkpoint", str(run_dir / "checkpoint.json"),
+                         "--data", str(dataset_path), "--out", str(out),
+                         "--nu", nu])
+        assert code == 2
+        assert not (out / "transfer_stats.json").exists()
+
+    @pytest.mark.parametrize("nu", ["nan", "inf", "-3"])
+    @pytest.mark.parametrize("calibrated", [True, False])
+    def test_verify_bound_bad_nu_exit_2(self, tmp_path, dataset_path, run_dir,
+                                        nu, calibrated):
+        out = tmp_path / "bound.json"
+        code = cli.main(["verify-bound",
+                         "--checkpoint", str(run_dir / "checkpoint.json"),
+                         "--data", str(dataset_path), "--out", str(out),
+                         "--nu", nu] + (["--calibrated"] if calibrated else []))
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("omega", float("nan")),
+        ("omega", float("inf")), ("nu", float("nan")), ("nu", -3.0),
+    ])
+    def test_train_bad_config_exit_2(self, tmp_path, dataset_path, capsys,
+                                     field, value):
+        data = trainer.config_to_dict(TrainConfig(steps=40))
+        data[field] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        code = cli.main(["train", "--data", str(dataset_path),
+                         "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_calibrated_bound_past_exp_overflow(self, tmp_path):
+        # README data, untrained default model: at nu = 3 the calibrated
+        # bound's exponent is past exp()'s float range.
+        spec = tmp_path / "spec.json"
+        data = tmp_path / "data.csv"
+        save_spec(divergent_spec(seed=0), spec)
+        assert cli.main(["gen", "--spec", str(spec), "--out", str(data)]) == 0
+        ds = load_dataset(data)
+        ckpt = tmp_path / "untrained.json"
+        model.save_checkpoint(
+            model.init(ds.input_dim, (64, 64), 16, ds.num_classes, seed=0),
+            ckpt)
+        out = tmp_path / "bound.json"
+        assert cli.main(["verify-bound", "--checkpoint", str(ckpt),
+                         "--data", str(data), "--out", str(out),
+                         "--calibrated", "--nu", "3"]) == 0
+        report = json.loads(out.read_text())
+        assert all(np.isfinite(v) for v in report.values())
+        assert report["gap"] >= 0
 
 
 class TestGradcheck:

@@ -7,17 +7,14 @@ from boda import losses
 from boda.errors import ValidationError
 from boda.gradcheck import central_difference, relative_error
 from boda.losses import (
-    LossConfig,
+    alignment_grad,
+    alignment_loss,
     balanced_distance,
     boda_grad,
-    boda_loss,
     boda_m_distance,
     calibration_coeff,
     ce_loss,
-    da_loss,
-    grad_by_variant,
     joint_loss,
-    loss_by_variant,
     theorem1_rhs,
     theorem2_rhs,
     verify_bound,
@@ -114,13 +111,19 @@ class TestScalars:
             base - joint_loss(1.0, 4.0, 0.0)
         )
 
-    def test_loss_config_validation(self):
+    def test_alignment_argument_validation(self):
+        z, store = np.zeros((1, 2)), square_store()
         with pytest.raises(ValidationError):
-            LossConfig(variant="nope")
+            alignment_loss("nope", z, [0], [0], store)
+        for nu in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                alignment_grad("calibrated_boda", z, [0], [0], store, nu=nu)
         with pytest.raises(ValidationError):
-            LossConfig(nu=-1.0)
+            alignment_loss("boda", z, [0], [0], store, reduction="median")
         with pytest.raises(ValidationError):
-            LossConfig(reduction="median")
+            alignment_loss("da", z, [0, 1], [0, 0], store)
+        with pytest.raises(ValidationError, match=r"\(2, 0\)"):
+            alignment_loss("da", z, [2], [0], store)
 
 
 def square_store(counts=(1, 1, 1, 1)):
@@ -137,7 +140,7 @@ class TestDaLoss:
     def test_sample_at_own_centroid_matches_oracle(self):
         store = square_store()
         z = np.array([[0.0, 0.0]])
-        res = da_loss(z, [0], [0], store, reduction="sum")
+        res = alignment_loss("da", z, [0], [0], store, reduction="sum")
         expected = reference_per_sample(z[0], (0, 0), store, balanced=False)
         assert res.value == pytest.approx(expected, rel=1e-12)
 
@@ -150,7 +153,8 @@ class TestDaLoss:
                          np.zeros((2, 2)), 1)
             for k, t in zip(keys, angles)
         ])
-        res = da_loss(np.zeros((1, 2)), [0], [0], store, reduction="sum")
+        res = alignment_loss("da", np.zeros((1, 2)), [0], [0], store,
+                             reduction="sum")
         assert res.value == pytest.approx(math.log(3), rel=1e-12)
 
     def test_random_instances_match_oracle(self):
@@ -159,10 +163,10 @@ class TestDaLoss:
             store = random_store(rng, int(rng.integers(2, 4)),
                                  int(rng.integers(2, 5)),
                                  dim=int(rng.integers(2, 5)))
-            z = 2.0 * rng.standard_normal((3, store.mu_matrix().shape[1]))
+            z = 2.0 * rng.standard_normal((3, store.mu.shape[1]))
             doms = rng.integers(0, 2, size=3)
             labs = rng.integers(0, 2, size=3)
-            res = da_loss(z, doms, labs, store, reduction="sum")
+            res = alignment_loss("da", z, doms, labs, store, reduction="sum")
             expected = reference_total(z, doms, labs, store, balanced=False)
             assert res.value == pytest.approx(expected, rel=1e-10)
             assert res.value > 0
@@ -174,7 +178,7 @@ class TestDaLoss:
             FeatureStats((0, 1), np.ones(2), np.zeros((2, 2)), 1),
             FeatureStats((1, 0), np.array([0.0, 2.0]), np.zeros((2, 2)), 1),
         ])
-        res = da_loss(np.zeros((2, 2)), [0, 0], [1, 0], store)
+        res = alignment_loss("da", np.zeros((2, 2)), [0, 0], [1, 0], store)
         assert res.skipped == 1
         assert bool(res.contributing[0]) is False
         assert bool(res.contributing[1]) is True
@@ -189,10 +193,11 @@ class TestBodaLoss:
             z = rng.standard_normal((4, 3))
             doms = rng.integers(0, 2, size=4)
             labs = rng.integers(0, 3, size=4)
-            plain = da_loss(z, doms, labs, store, reduction="sum")
-            bal = boda_loss(z, doms, labs, store, reduction="sum")
-            calib = boda_loss(z, doms, labs, store, calibrated=True,
-                              reduction="sum")
+            plain = alignment_loss("da", z, doms, labs, store, reduction="sum")
+            bal = alignment_loss("boda", z, doms, labs, store,
+                                 reduction="sum")
+            calib = alignment_loss("calibrated_boda", z, doms, labs, store,
+                                   reduction="sum")
             assert abs(bal.value - plain.value) <= 1e-12
             assert abs(calib.value - plain.value) <= 1e-12
 
@@ -202,8 +207,8 @@ class TestBodaLoss:
         z = rng.standard_normal((6, 4))
         doms = rng.integers(0, 2, size=6)
         labs = rng.integers(0, 3, size=6)
-        a = boda_loss(z, doms, labs, store, nu=0.0, calibrated=True)
-        b = boda_loss(z, doms, labs, store, calibrated=False)
+        a = alignment_loss("calibrated_boda", z, doms, labs, store, nu=0.0)
+        b = alignment_loss("boda", z, doms, labs, store)
         assert a.value == b.value
         np.testing.assert_array_equal(a.per_sample, b.per_sample)
 
@@ -216,8 +221,10 @@ class TestBodaLoss:
             z = 2.0 * rng.standard_normal((4, 3))
             doms = rng.integers(0, 2, size=4)
             labs = rng.integers(0, 2, size=4)
-            res = boda_loss(z, doms, labs, store, nu=nu,
-                            calibrated=calibrated, reduction="sum")
+            res = alignment_loss(
+                "calibrated_boda" if calibrated else "boda", z, doms, labs,
+                store, nu=nu, reduction="sum",
+            )
             expected = reference_total(z, doms, labs, store, balanced=True,
                                        calibrated=calibrated, nu=nu)
             assert res.value == pytest.approx(expected, rel=1e-10)
@@ -228,7 +235,7 @@ class TestBodaLoss:
         z = rng.standard_normal((5, 3))
         doms = rng.integers(0, 2, size=5)
         labs = rng.integers(0, 3, size=5)
-        res = loss_by_variant("boda_m", z, doms, labs, store, reduction="sum")
+        res = alignment_loss("boda_m", z, doms, labs, store, reduction="sum")
         expected = reference_total(z, doms, labs, store, balanced=True,
                                    calibrated=True, metric="mahalanobis")
         assert res.value == pytest.approx(expected, rel=1e-10)
@@ -246,25 +253,26 @@ class TestBodaLoss:
         z = rng.standard_normal((6, 3))
         doms = rng.integers(0, 2, size=6)
         labs = rng.integers(0, 2, size=6)
-        balanced = boda_loss(z, doms, labs, store, reduction="sum")
-        second = loss_by_variant("boda_m", z, doms, labs, store,
-                                 nu=0.0, reduction="sum")
+        balanced = alignment_loss("boda", z, doms, labs, store,
+                                  reduction="sum")
+        second = alignment_loss("boda_m", z, doms, labs, store,
+                                nu=0.0, reduction="sum")
         assert second.value == pytest.approx(balanced.value, rel=1e-3)
 
     def test_rigid_motion_invariance(self):
         rng = make_rng(16)
         z, doms, labs, groups = random_features(rng, 2, 3, 2, max_count=10)
         store = compute_stats(groups)
-        base = boda_loss(z, doms, labs, store, calibrated=True,
-                         reduction="sum")
+        base = alignment_loss("calibrated_boda", z, doms, labs, store,
+                              reduction="sum")
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]])
         shift = np.array([5.0, -3.0])
         moved = {k: v @ rot.T + shift for k, v in groups.items()}
         z2 = z @ rot.T + shift
-        res2 = boda_loss(z2, doms, labs, compute_stats(moved),
-                         calibrated=True, reduction="sum")
+        res2 = alignment_loss("calibrated_boda", z2, doms, labs,
+                              compute_stats(moved), reduction="sum")
         assert res2.value == pytest.approx(base.value, rel=1e-9)
 
 
@@ -293,13 +301,13 @@ class TestGradients:
             store = random_store(rng, int(rng.integers(2, 4)),
                                  int(rng.integers(2, 5)),
                                  dim=int(rng.integers(2, 6)))
-            dim = store.mu_matrix().shape[1]
+            dim = store.mu.shape[1]
             z = 2.0 * rng.standard_normal(dim)
             key = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-            _, grad = grad_by_variant(variant, z, [key[0]], [key[1]], store,
-                                      reduction="sum")
+            _, grad = alignment_grad(variant, z, [key[0]], [key[1]], store,
+                                     reduction="sum")
             numeric = central_difference(
-                lambda zz: loss_by_variant(
+                lambda zz: alignment_loss(
                     variant, zz, [key[0]], [key[1]], store, reduction="sum"
                 ).value,
                 z,
@@ -314,7 +322,7 @@ class TestGradients:
             store = random_store(rng, 2, int(rng.integers(2, 5)), dim=3)
             z = 2.0 * rng.standard_normal(3)
             key = (int(rng.integers(0, 2)), 0)
-            _, detail = boda_grad(z, key, store, calibrated=True)
+            _, detail = boda_grad("calibrated_boda", z, key, store)
             for k, g in zip(detail.keys, detail.dloss_ddistance):
                 if k[1] == key[1] and k[0] != key[0]:
                     assert g >= 0.0
@@ -325,7 +333,7 @@ class TestGradients:
         rng = make_rng(19)
         store = random_store(rng, 3, 3, dim=4)
         z = rng.standard_normal(4)
-        _, detail = boda_grad(z, (1, 1), store, calibrated=True, nu=0.7)
+        _, detail = boda_grad("calibrated_boda", z, (1, 1), store, nu=0.7)
         assert detail.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(detail.probabilities >= 0)
         assert np.all(detail.probabilities <= 1)
@@ -336,7 +344,7 @@ class TestGradients:
         rng = make_rng(20)
         store = random_store(rng, 2, 4, dim=3)
         z = rng.standard_normal(3)
-        _, detail = boda_grad(z, (0, 0), store, calibrated=False)
+        _, detail = boda_grad("boda", z, (0, 0), store)
         negs = [
             (p, abs(g)) for k, p, g in zip(detail.keys, detail.probabilities,
                                            detail.dloss_ddistance)
@@ -354,7 +362,7 @@ class TestGradients:
             FeatureStats((1, 1), np.ones(2), np.zeros((2, 2)), 1),
         ])
         with pytest.raises(ValidationError):
-            boda_grad(np.zeros(2), (0, 0), store)
+            boda_grad("boda", np.zeros(2), (0, 0), store)
 
 
 class TestBlockedDistances:
@@ -365,10 +373,10 @@ class TestBlockedDistances:
         z, doms, labs, groups = random_features(make_rng(31), 3, 4, 5,
                                                 max_count=20)
         store = compute_stats(groups)
-        whole, grad = grad_by_variant(variant, z, doms, labs, store)
+        whole, grad = alignment_grad(variant, z, doms, labs, store)
         monkeypatch.setattr(losses, "BLOCK_ELEMS", 1)
-        blocked, grad_b = grad_by_variant(variant, z, doms, labs, store)
-        loss_b = loss_by_variant(variant, z, doms, labs, store)
+        blocked, grad_b = alignment_grad(variant, z, doms, labs, store)
+        loss_b = alignment_loss(variant, z, doms, labs, store)
         assert blocked.value == whole.value == loss_b.value
         np.testing.assert_array_equal(blocked.per_sample, whole.per_sample)
         np.testing.assert_array_equal(grad_b, grad)
@@ -432,6 +440,17 @@ class TestTheoremRhs:
         cal = CalibratedStats(1.0, 1.0, 2.0, 3.0)
         ts = TransferStats(1.0, 2.0, 3.0, cal)
         assert theorem2_rhs(ts, 10, 2, 3) == theorem1_rhs(ts, 10, 2, 3)
+
+    def test_exponent_past_exp_overflow(self):
+        # expo = (c d / n) alpha = 1000: exp(expo) overflows a float, and
+        # the bound is n (expo + log(d (c - 1))) up to a term below 1e-400
+        ts = TransferStats(1000.0, 0.0, 0.0)
+        assert theorem1_rhs(ts, 4, 2, 2) == 4 * (1000.0 + math.log(2))
+        # just inside the float range, the two forms agree
+        ts = TransferStats(700.0, 0.0, 0.0)
+        assert theorem1_rhs(ts, 4, 2, 2) == pytest.approx(
+            4 * (700.0 + math.log(2)), rel=1e-15
+        )
 
     def test_theorem2_needs_calibrated(self):
         with pytest.raises(ValidationError):

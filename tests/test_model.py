@@ -139,16 +139,16 @@ class TestBackward:
             set_params(p, flat)
             z, logits, _ = model.forward(p, x)
             ce = losses.ce_loss_batch(logits, labs)[0]
-            align = losses.boda_loss(z, doms, labs, store, calibrated=True,
-                                     nu=nu, reduction="mean").value
+            align = losses.alignment_loss("calibrated_boda", z, doms, labs,
+                                          store, nu=nu,
+                                          reduction="mean").value
             return losses.joint_loss(ce, align, omega)
 
         flat0 = flatten_params(p)
         z, logits, cache = model.forward(p, x)
         ce, grad_logits = losses.ce_loss_batch(logits, labs)
         _, g_align = losses.alignment_grad(
-            z, doms, labs, store, balanced=True, calibrated=True, nu=nu,
-            reduction="mean",
+            "calibrated_boda", z, doms, labs, store, nu=nu, reduction="mean",
         )
         gw, gb, gcw, gcb = model.backward(p, cache, omega * g_align,
                                           grad_logits)
