@@ -34,10 +34,8 @@ stage1 = accuracy_report(params, ds)
 retrained, _ = retrain_classifier(params, ds, cfg)
 stage2 = accuracy_report(retrained, ds)
 
-frozen = all(
-    np.array_equal(a, b)
-    for a, b in zip(params.encoder_arrays(), retrained.encoder_arrays())
-)
+encoder = slice(0, params.n_encoder)
+frozen = np.array_equal(params.flat[encoder], retrained.flat[encoder])
 print(f"encoder bit-identical across stage two: {frozen}")
 print(f"stage 1 (instance-sampled head): avg {stage1.average:5.1f}  "
       f"few-shot {stage1.few:5.1f}")

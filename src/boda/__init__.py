@@ -34,18 +34,14 @@ from .losses import (
     BoundReport,
     alignment_grad,
     alignment_loss,
-    balanced_distance,
     boda_grad,
-    boda_m_distance,
-    calibration_coeff,
-    ce_loss,
     joint_loss,
     theorem1_rhs,
     theorem2_rhs,
     verify_bound,
 )
 from .model import ModelParams, backward, forward, init
-from .numerics import inverse_shrunk, make_rng, next_gaussian, sym_eig
+from .numerics import inverse_shrunk, make_rng, sym_eig
 from .stats import (
     FeatureStats,
     StatsStore,
@@ -60,4 +56,17 @@ from .stats import (
 )
 from .trainer import TrainConfig, retrain_classifier, sweep, train
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AccuracyReport", "BodaGradientDetail", "BoundReport", "Dataset",
+    "DatasetSpec", "DomainShift", "FeatureStats", "LabelProfile",
+    "ModelParams", "NumericalError", "StatsStore", "TrainConfig",
+    "TransferStats", "TransferabilityGraph", "ValidationError",
+    "accuracy_report", "alignment_grad", "alignment_loss", "backward",
+    "boda_grad", "build_graph", "compute_stats", "feature_discrepancy",
+    "forward", "generate", "init", "inverse_shrunk", "joint_loss",
+    "label_divergence", "load_dataset", "load_spec", "make_rng", "mds_2d",
+    "momentum_update", "profile_counts", "retrain_classifier", "save_dataset",
+    "save_spec", "stats_accuracy_correlation", "sweep", "sym_eig",
+    "theorem1_rhs", "theorem2_rhs", "train", "transfer_stats",
+    "transferability", "verify_bound",
+]

@@ -1,6 +1,7 @@
 """Batch command-line surface; every command reads and writes files.
 
-Exit codes: 0 on success, 2 on input validation failures, 3 on numerical
+Exit codes: 0 on success, 2 on input validation failures (including paths
+that cannot be read or written and inputs that are not text), 3 on numerical
 failures (non-convergence, gradient-check failure, bound violation). Each
 command drops a manifest next to its outputs recording the resolved
 configuration, inputs, outputs, seed, and wall-clock duration.
@@ -98,6 +99,8 @@ def cmd_train(args) -> int:
     started = time.time()
     ds = load_dataset(args.data)
     cfg = _load_config(args.config, args.seed)
+    # an --out that cannot be a directory fails here, not after training
+    os.makedirs(args.out, exist_ok=True)
     params, log = trainer.train(ds, cfg)
     rows = list(log.rows)
     final_step = cfg.steps
@@ -105,7 +108,6 @@ def cmd_train(args) -> int:
         params, stage2_rows = trainer.retrain_classifier(params, ds, cfg)
         rows += stage2_rows
         final_step += cfg.decouple_steps
-    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.json")
     log_path = os.path.join(args.out, "log.csv")
     model.save_checkpoint(params, ckpt, seed=cfg.seed, step=final_step)
@@ -241,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--nu", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="written to the manifest only; the analysis is "
+                        "deterministic")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify-bound",
@@ -251,7 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--nu", type=float, default=1.0)
     p.add_argument("--calibrated", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="written to the manifest only; the check is "
+                        "deterministic")
     p.set_defaults(fn=cmd_verify_bound)
 
     p = sub.add_parser("gradcheck",
@@ -277,10 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

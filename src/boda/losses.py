@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import BLOCK_ELEMS, inverse_shrunk
 from .stats import (
-    FeatureStats,
     StatsStore,
     TransferStats,
     build_graph,
@@ -53,30 +52,6 @@ VARIANTS = {
     "calibrated_boda": (True, True, "euclidean"),
     "boda_m": (True, True, "mahalanobis"),
 }
-
-
-def balanced_distance(d_raw: float, n_src: int) -> float:
-    """Distance divided by the source pair's training count."""
-    if n_src < 1:
-        raise ValidationError("source count must be >= 1")
-    if d_raw < 0:
-        raise ValidationError("distance must be nonnegative")
-    return d_raw / n_src
-
-
-def calibration_coeff(n_src: int, n_dst: int, nu: float) -> float:
-    """Transfer preference ``(n_dst / n_src) ** nu``."""
-    if n_src < 1 or n_dst < 1:
-        raise ValidationError("counts must be >= 1")
-    return (n_dst / n_src) ** nu
-
-
-def boda_m_distance(z, stats: FeatureStats) -> float:
-    """Mahalanobis distance to a pair's centroid under its shrunk covariance."""
-    z = np.asarray(z, dtype=np.float64)
-    a = inverse_shrunk(stats.sigma)
-    diff = z - stats.mu
-    return float(math.sqrt(max(float(diff @ a @ diff), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,33 +214,21 @@ def boda_grad(variant: str, z, key, store: StatsStore, nu: float = 1.0):
 # Cross-entropy and the joint objective
 # ---------------------------------------------------------------------------
 
-def ce_loss(logits, label: int):
-    """Cross-entropy of one logit vector; returns (loss, grad wrt logits)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise ValidationError("label out of range")
-    shifted = logits - logits.max()
-    expv = np.exp(shifted)
-    probs = expv / expv.sum()
-    loss = float(-shifted[label] + math.log(expv.sum()))
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return loss, grad
-
-
 def ce_loss_batch(logits, labels):
     """Mean cross-entropy over a batch; gradient already includes the 1/n."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[0]
+    rows = np.arange(n)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    picked = shifted[np.arange(n), labels]
-    loss = float((-picked + np.log(expv.sum(axis=1))).mean())
-    grad = probs
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    picked = shifted[rows, labels]
+    expv = np.exp(shifted, out=shifted)
+    sums = expv.sum(axis=1, keepdims=True)
+    loss = float((np.log(sums[:, 0]) - picked).sum() / n)
+    grad = np.divide(expv, sums, out=expv)
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
 
 
 def joint_loss(ce: float, boda: float, omega: float) -> float:

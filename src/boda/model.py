@@ -9,7 +9,10 @@ objective can be checked against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+import os
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,32 +22,43 @@ from .numerics import make_rng
 
 @dataclass
 class ModelParams:
-    weights: list       # encoder weights, weights[i]: (fan_out, fan_in)
-    biases: list        # encoder biases, biases[i]: (fan_out,)
-    cls_w: np.ndarray   # (num_classes, rep_dim)
-    cls_b: np.ndarray   # (num_classes,)
+    """Every parameter in one contiguous float64 vector ``flat`` (zeros when
+    not given). ``weights``, ``biases``, ``cls_w`` and ``cls_b`` are views of
+    it, laid out in that order, so ``flat[n_encoder:]`` is the classifier.
+    A gradient has the same layout, so it is a ModelParams too.
+    """
+
     input_dim: int
     hidden: tuple
     rep_dim: int
     num_classes: int
+    flat: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.hidden = tuple(self.hidden)
+        sizes = [self.input_dim, *self.hidden, self.rep_dim]
+        shapes = ([(o, i) for i, o in zip(sizes[:-1], sizes[1:])]
+                  + [(o,) for o in sizes[1:]]
+                  + [(self.num_classes, self.rep_dim), (self.num_classes,)])
+        offsets = [0, *accumulate(math.prod(s) for s in shapes)]
+        if self.flat is None:
+            self.flat = np.zeros(offsets[-1])
+        if self.flat.shape != (offsets[-1],) or self.flat.dtype != np.float64:
+            raise ValidationError("parameter vector does not match the dims")
+        views = [self.flat[a:b].reshape(shape)
+                 for a, b, shape in zip(offsets, offsets[1:], shapes)]
+        layers = len(sizes) - 1
+        self.weights, self.biases = views[:layers], views[layers:-2]
+        self.cls_w, self.cls_b = views[-2:]
+        self.n_encoder = offsets[-3]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.cls_w.copy(),
-            self.cls_b.copy(),
-            self.input_dim,
-            self.hidden,
-            self.rep_dim,
-            self.num_classes,
-        )
+        return replace(self, flat=self.flat.copy())
 
-    def encoder_arrays(self):
-        return self.weights + self.biases
-
-    def all_arrays(self):
-        return self.weights + self.biases + [self.cls_w, self.cls_b]
+    def __reduce__(self):
+        # pickle the buffer once; the views are rebuilt on load
+        return ModelParams, (self.input_dim, self.hidden, self.rep_dim,
+                             self.num_classes, self.flat)
 
 
 def init(input_dim: int, hidden, rep_dim: int, num_classes: int,
@@ -53,17 +67,12 @@ def init(input_dim: int, hidden, rep_dim: int, num_classes: int,
     if input_dim < 1 or rep_dim < 1 or num_classes < 2:
         raise ValidationError("invalid model dimensions")
     rng = make_rng(seed, stream=7)
-    sizes = [input_dim, *hidden, rep_dim]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    params = ModelParams(input_dim, hidden, rep_dim, num_classes)
+    for w in params.weights + [params.cls_w]:
+        fan_out, fan_in = w.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    bound = np.sqrt(6.0 / (rep_dim + num_classes))
-    cls_w = rng.uniform(-bound, bound, size=(num_classes, rep_dim))
-    cls_b = np.zeros(num_classes)
-    return ModelParams(weights, biases, cls_w, cls_b, input_dim,
-                       tuple(hidden), rep_dim, num_classes)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def forward(params: ModelParams, x):
@@ -84,7 +93,8 @@ def forward(params: ModelParams, x):
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = h @ w.T + b
+        pre = h @ w.T
+        pre += b
         pre_acts.append(pre)
         h = pre if i == last else np.maximum(pre, 0.0)
         activations.append(h)
@@ -96,12 +106,15 @@ def forward(params: ModelParams, x):
     return z, logits, cache
 
 
-def backward(params: ModelParams, cache, grad_z, grad_logits):
+def backward(params: ModelParams, cache, grad_z, grad_logits,
+             out: ModelParams | None = None) -> ModelParams:
     """Exact parameter gradients for upstream (grad_z, grad_logits).
 
     ``grad_logits`` flows through the classifier and adds its share to the
-    representation gradient before the encoder backward pass. Returns
-    (weight grads, bias grads, classifier weight grad, classifier bias grad).
+    representation gradient before the encoder backward pass. The gradient
+    is written through the views of ``out`` (a new zero ModelParams of the
+    same dims when not given), which is returned; ``out.flat`` is the flat
+    gradient.
     """
     z = cache["z"]
     n = z.shape[0]
@@ -110,22 +123,21 @@ def backward(params: ModelParams, cache, grad_z, grad_logits):
     if grad_z.shape[1] != params.rep_dim \
             or grad_logits.shape[1] != params.num_classes:
         raise ValidationError("upstream gradient shapes do not match model")
+    if out is None:
+        out = replace(params, flat=None)
 
-    g_cls_w = grad_logits.T @ z
-    g_cls_b = grad_logits.sum(axis=0)
+    np.matmul(grad_logits.T, z, out=out.cls_w)
+    grad_logits.sum(axis=0, out=out.cls_b)
     delta = grad_z + grad_logits @ params.cls_w
-
-    g_weights = [None] * len(params.weights)
-    g_biases = [None] * len(params.biases)
     last = len(params.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
-            delta = delta * (cache["pre_acts"][i] > 0)
-        g_weights[i] = delta.T @ cache["activations"][i]
-        g_biases[i] = delta.sum(axis=0)
+            delta *= cache["pre_acts"][i] > 0
+        np.matmul(delta.T, cache["activations"][i], out=out.weights[i])
+        delta.sum(axis=0, out=out.biases[i])
         if i > 0:
             delta = delta @ params.weights[i]
-    return g_weights, g_biases, g_cls_w, g_cls_b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +154,20 @@ def save_checkpoint(params: ModelParams, path, seed: int = 0,
             "classes": params.num_classes,
         },
         "encoder": [
-            {"w": [float(v) for v in w.ravel()], "b": [float(v) for v in b]}
+            {"w": w.ravel().tolist(), "b": b.tolist()}
             for w, b in zip(params.weights, params.biases)
         ],
         "classifier": {
-            "w": [float(v) for v in params.cls_w.ravel()],
-            "b": [float(v) for v in params.cls_b],
+            "w": params.cls_w.ravel().tolist(),
+            "b": params.cls_b.tolist(),
         },
         "seed": int(seed),
         "step": int(step),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(payload) + "\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -169,21 +182,17 @@ def load_checkpoint(path) -> ModelParams:
         if len(data["encoder"]) != len(sizes) - 1:
             raise ValidationError(f"checkpoint has {len(data['encoder'])} "
                                   f"encoder layers, dims need {len(sizes) - 1}")
-        weights, biases = [], []
-        for layer, fan_in, fan_out in zip(data["encoder"], sizes[:-1],
-                                          sizes[1:]):
-            weights.append(
-                np.array(layer["w"], dtype=np.float64).reshape(fan_out, fan_in)
-            )
-            biases.append(_vector(layer["b"], fan_out, "encoder bias"))
-        cls_w = np.array(data["classifier"]["w"], dtype=np.float64).reshape(
-            dims["classes"], dims["rep"]
-        )
-        cls_b = _vector(data["classifier"]["b"], dims["classes"],
-                        "classifier bias")
-        return ModelParams(weights, biases, cls_w, cls_b, dims["input"],
-                           tuple(dims["hidden"]), dims["rep"],
-                           dims["classes"])
+        layers = data["encoder"]
+        pieces = [_vector(layer["w"], fan_out * fan_in, "encoder weight")
+                  for layer, fan_in, fan_out in zip(layers, sizes, sizes[1:])]
+        pieces += [_vector(layer["b"], fan_out, "encoder bias")
+                   for layer, fan_out in zip(layers, sizes[1:])]
+        pieces += [_vector(data["classifier"]["w"],
+                           dims["classes"] * dims["rep"], "classifier weight"),
+                   _vector(data["classifier"]["b"], dims["classes"],
+                           "classifier bias")]
+        return ModelParams(dims["input"], dims["hidden"], dims["rep"],
+                           dims["classes"], np.concatenate(pieces))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed checkpoint: {exc}")
 

@@ -88,8 +88,3 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     return np.random.Generator(np.random.Philox(key=[seed, int(stream)]))
-
-
-def next_gaussian(rng: np.random.Generator) -> float:
-    """One standard-normal draw from ``rng``."""
-    return float(rng.standard_normal())

@@ -77,32 +77,44 @@ class TrainLog:
 
 
 class _Optimizer:
-    """Adam or SGD-with-momentum over a flat list of parameter arrays."""
+    """Adam or SGD-with-momentum over one flat parameter buffer.
 
-    def __init__(self, arrays, kind: str, lr: float):
+    Adam: ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``,
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``; SGD: ``m = 0.9 m + g``,
+    ``p -= lr m``. Each runs in place through preallocated temporaries, one
+    operation at a time in the order written, so it rounds exactly as the
+    expression does.
+    """
+
+    def __init__(self, size: int, kind: str, lr: float):
         self.kind = kind
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._tmp = np.empty(size)
+        self._den = np.empty(size)
 
-    def step(self, arrays, grads):
+    def step(self, params, grad):
         self.t += 1
+        m, tmp = self.m, self._tmp
         if self.kind == "sgd":
-            for a, g, m in zip(arrays, grads, self.m):
-                m *= 0.9
-                m += g
-                a -= self.lr * m
+            m *= 0.9
+            m += grad
+            params -= np.multiply(m, self.lr, out=tmp)
             return
         b1, b2, eps = 0.9, 0.999, 1e-8
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for a, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            a -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        v, den = self.v, self._den
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=tmp)
+        v *= b2
+        v += np.multiply(np.multiply(grad, 1 - b2, out=tmp), grad, out=tmp)
+        np.sqrt(np.divide(v, corr2, out=den), out=den)
+        den += eps
+        np.multiply(np.divide(m, corr1, out=tmp), self.lr, out=tmp)
+        params -= np.divide(tmp, den, out=tmp)
 
 
 def encode_features(params: model.ModelParams, split):
@@ -163,12 +175,11 @@ def train(ds: Dataset, cfg: TrainConfig):
 
     params = model.init(ds.input_dim, cfg.hidden, cfg.rep_dim,
                         ds.num_classes, cfg.seed)
-    arrays = params.all_arrays()
-    opt = _Optimizer(arrays, cfg.optimizer, cfg.lr)
+    grad = replace(params, flat=None)
+    opt = _Optimizer(grad.flat.size, cfg.optimizer, cfg.lr)
     batch_rng = make_rng(cfg.seed, stream=11)
-    idx_by_domain = {
-        d: np.where(ds.train.domain == d)[0] for d in train_domains
-    }
+    pools = [np.where(ds.train.domain == d)[0] for d in train_domains]
+    zero_grad_z = np.zeros((cfg.batch_per_domain * len(pools), cfg.rep_dim))
     steps_per_epoch = max(
         1, math.ceil(len(ds.train) / (cfg.batch_per_domain * len(train_domains)))
     )
@@ -191,31 +202,25 @@ def train(ds: Dataset, cfg: TrainConfig):
                 "statistics must lag the current epoch"
 
         batch_idx = np.concatenate([
-            idx_by_domain[d][
-                batch_rng.integers(0, len(idx_by_domain[d]),
-                                   size=cfg.batch_per_domain)
-            ]
-            for d in train_domains
+            pool[batch_rng.integers(0, len(pool), size=cfg.batch_per_domain)]
+            for pool in pools
         ])
-        xb = ds.train.x[batch_idx]
-        db = ds.train.domain[batch_idx]
         cb = ds.train.label[batch_idx]
-
-        z, logits, cache = model.forward(params, xb)
+        z, logits, cache = model.forward(params, ds.train.x[batch_idx])
         ce, grad_logits = losses.ce_loss_batch(logits, cb)
-        boda_value = 0.0
-        grad_z = np.zeros_like(z)
+        boda_value, grad_z = 0.0, zero_grad_z
         if use_alignment:
             result, g_align = losses.alignment_grad(
-                cfg.variant, z, db, cb, store, nu=cfg.nu, reduction="mean"
+                cfg.variant, z, ds.train.domain[batch_idx], cb, store,
+                nu=cfg.nu, reduction="mean"
             )
             boda_value = result.value
             grad_z = cfg.omega * g_align
         joint = losses.joint_loss(ce, boda_value, cfg.omega)
         log.step_joint.append(joint)
 
-        gw, gb, gcw, gcb = model.backward(params, cache, grad_z, grad_logits)
-        opt.step(arrays, gw + gb + [gcw, gcb])
+        model.backward(params, cache, grad_z, grad_logits, out=grad)
+        opt.step(params.flat, grad.flat)
 
         done = step + 1
         if done % cfg.eval_every == 0 or done == cfg.steps:
@@ -243,10 +248,14 @@ def retrain_classifier(params: model.ModelParams, ds: Dataset,
         for d, c in pairs
     ]
     pair_sizes = np.array([len(ix) for ix in idx_by_pair])
+    members = np.concatenate(idx_by_pair)
+    starts = np.cumsum(pair_sizes) - pair_sizes
     rng = make_rng(cfg.seed, stream=13)
     batch = cfg.batch_per_domain * max(len(np.unique(ds.train.domain)), 1)
-    cls_arrays = [out.cls_w, out.cls_b]
-    opt = _Optimizer(cls_arrays, cfg.optimizer, cfg.lr)
+    grad = replace(out, flat=None)
+    cls_params = out.flat[out.n_encoder:]
+    cls_grad = grad.flat[out.n_encoder:]
+    opt = _Optimizer(cls_grad.size, cfg.optimizer, cfg.lr)
 
     alpha, beta, gamma, bound_gap = _diagnostics(out, ds, cfg.nu)
     rows = []
@@ -255,16 +264,13 @@ def retrain_classifier(params: model.ModelParams, ds: Dataset,
         offsets = np.floor(
             rng.random(batch) * pair_sizes[pick_pair]
         ).astype(np.int64)
-        batch_idx = np.array([
-            idx_by_pair[p][o] for p, o in zip(pick_pair, offsets)
-        ])
-        xb = ds.train.x[batch_idx]
-        cb = ds.train.label[batch_idx]
-        z, logits, cache = model.forward(out, xb)
-        ce, grad_logits = losses.ce_loss_batch(logits, cb)
-        g_cls_w = grad_logits.T @ z
-        g_cls_b = grad_logits.sum(axis=0)
-        opt.step(cls_arrays, [g_cls_w, g_cls_b])
+        batch_idx = members[starts[pick_pair] + offsets]
+        z, logits, _ = model.forward(out, ds.train.x[batch_idx])
+        ce, grad_logits = losses.ce_loss_batch(logits,
+                                               ds.train.label[batch_idx])
+        np.matmul(grad_logits.T, z, out=grad.cls_w)
+        grad_logits.sum(axis=0, out=grad.cls_b)
+        opt.step(cls_params, cls_grad)
 
         done = step + 1
         if done % cfg.eval_every == 0 or done == cfg.decouple_steps:

@@ -95,8 +95,7 @@ def test_criterion_4_gradient_checks():
     # sits on a ReLU kink where central differences are undefined
     rng = make_rng(105)
     params = model.init(4, (8, 8), 3, 3, seed=105)
-    for arr in params.all_arrays():
-        arr += 0.05 * rng.standard_normal(arr.shape)
+    params.flat += 0.05 * rng.standard_normal(params.flat.shape)
     n = 14
     x = rng.standard_normal((n, 4))
     doms = rng.integers(0, 2, size=n)
@@ -107,32 +106,23 @@ def test_criterion_4_gradient_checks():
     store = compute_stats(group_by_pair(z0, doms, labs))
     omega = 0.1
 
-    arrays = params.all_arrays()
-
-    def set_flat(flat):
-        offset = 0
-        for arr in arrays:
-            arr[...] = flat[offset:offset + arr.size].reshape(arr.shape)
-            offset += arr.size
-
     def loss_at(flat):
-        set_flat(flat)
+        params.flat[...] = flat
         z, logits, _ = model.forward(params, x)
         ce = losses.ce_loss_batch(logits, labs)[0]
         align = alignment_loss("calibrated_boda", z, doms, labs, store,
                                reduction="mean").value
         return losses.joint_loss(ce, align, omega)
 
-    flat0 = np.concatenate([arr.ravel() for arr in arrays])
+    flat0 = params.flat.copy()
     z, logits, cache = model.forward(params, x)
     _, grad_logits = losses.ce_loss_batch(logits, labs)
     _, g_align = losses.alignment_grad("calibrated_boda", z, doms, labs,
                                        store, reduction="mean")
-    gw, gb, gcw, gcb = model.backward(params, cache, omega * g_align,
-                                      grad_logits)
-    analytic = np.concatenate([g.ravel() for g in gw + gb + [gcw, gcb]])
+    analytic = model.backward(params, cache, omega * g_align,
+                              grad_logits).flat
     numeric = central_difference(loss_at, flat0)
-    set_flat(flat0)
+    params.flat[...] = flat0
     full_err = relative_error(analytic, numeric)
     assert full_err <= 1e-4
     ok(4, f"per-variant max rel err {max(worst.values()):.2e}, "
@@ -199,10 +189,10 @@ def test_criterion_8_decoupling_benefit():
                           omega=0.0, decouple_steps=1000)
         params, _ = train(ds, cfg)
         before = accuracy_report(params, ds).average
-        encoder_before = [a.copy() for a in params.encoder_arrays()]
+        encoder_before = params.flat[:params.n_encoder].copy()
         retrained, _ = retrain_classifier(params, ds, cfg)
-        for old, new in zip(encoder_before, retrained.encoder_arrays()):
-            np.testing.assert_array_equal(old, new)
+        np.testing.assert_array_equal(encoder_before,
+                                      retrained.flat[:retrained.n_encoder])
         after = accuracy_report(retrained, ds).average
         changes.append(after - before)
     mean_change = float(np.mean(changes))

@@ -279,6 +279,40 @@ class TestVerifyBound:
         assert json.loads(out.read_text())["gap"] >= -1e-9
 
 
+class TestFileErrors:
+    # A path that cannot be read or written, or a file that is not text,
+    # is an input error (exit 2, no traceback), found before any training.
+    @pytest.mark.parametrize("case", ["train_out_is_file", "data_is_dir",
+                                      "checkpoint_is_dir", "spec_is_dir",
+                                      "data_is_binary"])
+    def test_exit_2(self, tmp_path, dataset_path, monkeypatch, capsys, case):
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        cfg, data, out = str(write_config(tmp_path)), str(dataset_path), \
+            str(tmp_path / "out")
+        a_file = tmp_path / "file.txt"
+        a_file.write_text("x\n")
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(bytes(range(128, 256)) * 8)
+        argv = {
+            "train_out_is_file": ["train", "--data", data, "--config", cfg,
+                                  "--out", str(a_file)],
+            "data_is_dir": ["train", "--data", str(tmp_path),
+                            "--config", cfg, "--out", out],
+            "checkpoint_is_dir": ["analyze", "--checkpoint", str(tmp_path),
+                                  "--data", data, "--out", out],
+            "spec_is_dir": ["gen", "--spec", str(tmp_path),
+                            "--out", str(tmp_path / "x.csv")],
+            "data_is_binary": ["train", "--data", str(binary),
+                               "--config", cfg, "--out", out],
+        }[case]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and "Traceback" not in err
+
+
 class TestParameterValidation:
     # A non-finite or negative nu, lr or omega is an input error (exit 2)
     # where it enters, not a NaN report or a traceback later on.

@@ -9,11 +9,8 @@ from boda.gradcheck import central_difference, relative_error
 from boda.losses import (
     alignment_grad,
     alignment_loss,
-    balanced_distance,
     boda_grad,
-    boda_m_distance,
-    calibration_coeff,
-    ce_loss,
+    ce_loss_batch,
     joint_loss,
     theorem1_rhs,
     theorem2_rhs,
@@ -37,8 +34,45 @@ from conftest import random_features, random_store
 # ---------------------------------------------------------------------------
 # Brute-force oracle: a literal, loop-based transcription of the loss
 # definitions, kept deliberately independent of the vectorized library path
-# (no log-sum-exp shift, no masking tricks).
+# (no log-sum-exp shift, no masking tricks), and its scalar building blocks.
 # ---------------------------------------------------------------------------
+
+def balanced_distance(d_raw: float, n_src: int) -> float:
+    """Distance divided by the source pair's training count."""
+    if n_src < 1:
+        raise ValidationError("source count must be >= 1")
+    if d_raw < 0:
+        raise ValidationError("distance must be nonnegative")
+    return d_raw / n_src
+
+
+def calibration_coeff(n_src: int, n_dst: int, nu: float) -> float:
+    """Transfer preference ``(n_dst / n_src) ** nu``."""
+    if n_src < 1 or n_dst < 1:
+        raise ValidationError("counts must be >= 1")
+    return (n_dst / n_src) ** nu
+
+
+def boda_m_distance(z, stats: FeatureStats, eps_rel=1e-3) -> float:
+    """Mahalanobis distance to a pair's centroid under its shrunk covariance."""
+    diff = np.asarray(z, dtype=np.float64) - stats.mu
+    a = inverse_shrunk(stats.sigma, eps_rel)
+    return math.sqrt(max(float(diff @ a @ diff), 0.0))
+
+
+def ce_loss(logits, label: int):
+    """Cross-entropy of one logit vector; returns (loss, grad wrt logits)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if not 0 <= label < logits.shape[0]:
+        raise ValidationError("label out of range")
+    shifted = logits - logits.max()
+    expv = np.exp(shifted)
+    probs = expv / expv.sum()
+    loss = float(-shifted[label] + math.log(expv.sum()))
+    grad = probs.copy()
+    grad[label] -= 1.0
+    return loss, grad
+
 
 def reference_per_sample(z_i, key_i, store, *, balanced, calibrated=False,
                          nu=1.0, metric="euclidean", eps_rel=1e-3):
@@ -47,18 +81,17 @@ def reference_per_sample(z_i, key_i, store, *, balanced, calibrated=False,
 
     def raw(key):
         st = store[key]
-        diff = np.asarray(z_i, dtype=float) - st.mu
         if metric == "euclidean":
+            diff = np.asarray(z_i, dtype=float) - st.mu
             return math.sqrt(float(diff @ diff))
-        a = inverse_shrunk(st.sigma, eps_rel)
-        return math.sqrt(max(float(diff @ a @ diff), 0.0))
+        return boda_m_distance(z_i, st, eps_rel)
 
     def scaled(key):
         value = raw(key)
         if balanced:
-            value = value / n_src
+            value = balanced_distance(value, n_src)
         if calibrated:
-            value = value * (store[key].count / n_src) ** nu
+            value = value * calibration_coeff(n_src, store[key].count, nu)
         return value
 
     keys = store.keys()
@@ -404,6 +437,17 @@ class TestCeLoss:
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
             ce_loss(np.zeros(3), 5)
+
+    def test_batch_matches_per_row_oracle(self):
+        rng = make_rng(22)
+        logits = 3.0 * rng.standard_normal((9, 5))
+        labels = rng.integers(0, 5, size=9)
+        loss, grad = ce_loss_batch(logits.copy(), labels)
+        rows = [ce_loss(row, int(lab)) for row, lab in zip(logits, labels)]
+        assert loss == pytest.approx(np.mean([r[0] for r in rows]),
+                                     rel=1e-13)
+        np.testing.assert_allclose(grad, np.array([r[1] for r in rows]) / 9,
+                                   rtol=1e-13, atol=1e-16)
 
 
 class TestTheoremRhs:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boda.errors import ValidationError
-from boda.numerics import inverse_shrunk, make_rng, next_gaussian, sym_eig
+from boda.numerics import inverse_shrunk, make_rng, sym_eig
 
 
 def random_symmetric(rng, n):
@@ -111,6 +111,10 @@ class TestInverseShrunk:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             inverse_shrunk(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def next_gaussian(rng):
+    return float(rng.standard_normal())
 
 
 class TestRng:

@@ -6,6 +6,7 @@ import pytest
 from boda import losses, model, stats, trainer
 from boda.datagen import generate
 from boda.errors import ValidationError
+from boda.numerics import make_rng
 from boda.trainer import TrainConfig, retrain_classifier, sweep, train
 
 from conftest import tiny_spec
@@ -23,8 +24,7 @@ class TestTrain:
         cfg = fast_cfg()
         p1, _ = train(tiny_dataset, cfg)
         p2, _ = train(tiny_dataset, cfg)
-        for a, b in zip(p1.all_arrays(), p2.all_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_omega_zero_is_pure_erm(self, tiny_dataset):
         # with omega = 0 the alignment machinery must not influence the run:
@@ -32,8 +32,7 @@ class TestTrain:
         p1, log1 = train(tiny_dataset, fast_cfg(omega=0.0, variant="da"))
         p2, log2 = train(tiny_dataset, fast_cfg(omega=0.0,
                                                 variant="calibrated_boda"))
-        for a, b in zip(p1.all_arrays(), p2.all_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
         assert all(r.boda == 0.0 for r in log1.rows)
         assert log1.step_joint == log2.step_joint
 
@@ -65,7 +64,7 @@ class TestTrain:
 
     def test_sgd_optimizer_runs(self, tiny_dataset):
         p, _ = train(tiny_dataset, fast_cfg(optimizer="sgd", lr=1e-2))
-        assert all(np.all(np.isfinite(a)) for a in p.all_arrays())
+        assert np.all(np.isfinite(p.flat))
 
     def test_diagnostics_logged(self, tiny_dataset):
         _, log = train(tiny_dataset, fast_cfg())
@@ -81,9 +80,68 @@ class TestTrain:
                                    zero_pairs=frozenset({(0, 2)}))
         ds = generate(spec)
         params, log = train(ds, fast_cfg())
-        assert all(np.all(np.isfinite(a)) for a in params.all_arrays())
+        assert np.all(np.isfinite(params.flat))
         # the ragged grid makes the bound check inapplicable
         assert np.isnan(log.rows[-1].bound_gap)
+
+
+class PerArrayOptimizer:
+    """Reference update: Adam or SGD-with-momentum written per array, one
+    expression per state update, as the textbook states it."""
+
+    def __init__(self, arrays, kind, lr):
+        self.kind, self.lr, self.t = kind, lr, 0
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+
+    def step(self, arrays, grads):
+        self.t += 1
+        if self.kind == "sgd":
+            for a, g, m in zip(arrays, grads, self.m):
+                m *= 0.9
+                m += g
+                a -= self.lr * m
+            return
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        corr1 = 1.0 - b1 ** self.t
+        corr2 = 1.0 - b2 ** self.t
+        for a, g, m, v in zip(arrays, grads, self.m, self.v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            a -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("kind,lr", [("adam", 1e-3), ("sgd", 1e-2),
+                                         ("adam", 0.3)])
+    def test_flat_matches_per_array_bit_for_bit(self, kind, lr):
+        params = model.init(5, (8, 6), 4, 3, seed=1)
+        ref = params.copy()
+        ref_arrays = ref.weights + ref.biases + [ref.cls_w, ref.cls_b]
+        opt = trainer._Optimizer(params.flat.size, kind, lr)
+        oracle = PerArrayOptimizer(ref_arrays, kind, lr)
+        rng = make_rng(2)
+        for step in range(60):
+            # magnitudes over many decades, some exact zeros
+            grad = rng.standard_normal(params.flat.size) \
+                * 10.0 ** rng.uniform(-8, 2, size=params.flat.size)
+            grad[rng.random(params.flat.size) < 0.1] = 0.0
+            opt.step(params.flat, grad)
+            g = model.ModelParams(5, (8, 6), 4, 3, grad)
+            oracle.step(ref_arrays, g.weights + g.biases + [g.cls_w, g.cls_b])
+            assert params.flat.tobytes() == ref.flat.tobytes(), step
+
+    def test_classifier_slice_only(self):
+        params = model.init(5, (8,), 4, 3, seed=1)
+        before = params.flat.copy()
+        cls = params.flat[params.n_encoder:]
+        opt = trainer._Optimizer(cls.size, "adam", 1e-2)
+        opt.step(cls, np.ones(cls.size))
+        assert np.array_equal(params.flat[:params.n_encoder],
+                              before[:params.n_encoder])
+        assert np.all(params.cls_b != before[-3:])
 
 
 class TestDiagnostics:
@@ -138,10 +196,11 @@ class TestRetrainClassifier:
     def test_encoder_bit_identical(self, tiny_dataset):
         cfg = fast_cfg(decouple_steps=40)
         params, _ = train(tiny_dataset, cfg)
-        before = [a.copy() for a in params.encoder_arrays()]
+        encoder = slice(0, params.n_encoder)
+        before = params.flat[encoder].copy()
         retrained, rows = retrain_classifier(params, tiny_dataset, cfg)
-        for a, b in zip(before, retrained.encoder_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(before, retrained.flat[encoder])
+        np.testing.assert_array_equal(params.flat[encoder], before)
         assert all(r.stage == 2 for r in rows)
 
     def test_classifier_changes(self, tiny_dataset):
