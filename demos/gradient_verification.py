@@ -12,7 +12,7 @@ import numpy as np
 from boda.gradcheck import run_gradcheck
 from boda.losses import boda_grad
 from boda.numerics import make_rng
-from boda.stats import FeatureStats, StatsStore
+from boda.stats import StatsStore
 
 print("max relative error of analytic vs numeric z-gradients")
 print("(50 random instances per variant, h = 1e-5):")
@@ -22,12 +22,17 @@ for variant, err in run_gradcheck(seed=0, n_instances=50).items():
 # hardness awareness on a hand-built instance: three negatives at
 # increasing distances, one positive
 rng = make_rng(1)
-store = StatsStore([
-    FeatureStats((0, 0), np.array([0.0, 0.0]), np.zeros((2, 2)), 5),
-    FeatureStats((1, 0), np.array([2.0, 0.0]), np.zeros((2, 2)), 5),   # positive
-    FeatureStats((0, 1), np.array([0.8, 0.0]), np.zeros((2, 2)), 5),   # hard negative
-    FeatureStats((1, 1), np.array([3.0, 3.0]), np.zeros((2, 2)), 5),   # easy negative
-])
+# keys (0,0) (0,1) (1,0) (1,1), domain-major
+store = StatsStore(
+    key_domain=[0, 0, 1, 1],
+    key_class=[0, 1, 0, 1],
+    mu=[[0.0, 0.0],    # the sample's own pair
+        [0.8, 0.0],    # hard negative
+        [2.0, 0.0],    # positive
+        [3.0, 3.0]],   # easy negative
+    sigma=np.zeros((4, 2, 2)),
+    counts=[5, 5, 5, 5],
+)
 z = np.array([0.1, 0.0])
 grad, detail = boda_grad("boda", z, (0, 0), store)
 print("\nper-destination softmin weights and distance gradients:")

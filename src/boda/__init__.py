@@ -52,7 +52,6 @@ from .stats import (
     mds_2d,
     momentum_update,
     transfer_stats,
-    transferability,
 )
 from .trainer import TrainConfig, retrain_classifier, sweep, train
 
@@ -68,5 +67,5 @@ __all__ = [
     "momentum_update", "profile_counts", "retrain_classifier", "save_dataset",
     "save_spec", "stats_accuracy_correlation", "sweep", "sym_eig",
     "theorem1_rhs", "theorem2_rhs", "train", "transfer_stats",
-    "transferability", "verify_bound",
+    "verify_bound",
 ]

@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
     groups = group_by_pair(z, ds.train.domain, ds.train.label)
     store = compute_stats(groups)
     graph = build_graph(store, groups)
-    counts = {k: store[k].count for k in store.keys()}
+    counts = dict(zip(store.keys(), store.counts))
     ts = transfer_stats(graph, nu=args.nu, counts=counts)
     keys, coords = mds_2d(graph)
 

@@ -106,9 +106,6 @@ class Dataset:
     num_classes: int
     input_dim: int
 
-    def nonzero_pairs(self):
-        return [k for k in sorted(self.counts) if self.counts[k] > 0]
-
 
 def profile_counts(profile: LabelProfile, num_classes: int) -> list:
     """Training counts per class id under a label profile.

@@ -14,6 +14,7 @@ import numpy as np
 from . import model
 from .datagen import Dataset
 from .errors import ValidationError
+from .stats import group_by_pair
 
 
 @dataclass
@@ -93,21 +94,12 @@ def feature_discrepancy(params: model.ModelParams, ds: Dataset):
     correlation between log count ratios and log distance ratios over all
     ordered same-class cross-domain pairs.
     """
-    z_train = model.forward(params, ds.train.x)[0] if len(ds.train) else None
-    z_test, _, _ = model.forward(params, ds.test.x)
+    def centroids(split):
+        z, _, _ = model.forward(params, split.x)
+        groups = group_by_pair(z, split.domain, split.label)
+        return {key: rows.mean(axis=0) for key, rows in groups.items()}
 
-    def centroids(z, split):
-        out = {}
-        if z is None:
-            return out
-        for d in np.unique(split.domain):
-            for c in np.unique(split.label[split.domain == d]):
-                mask = (split.domain == d) & (split.label == c)
-                out[(int(d), int(c))] = z[mask].mean(axis=0)
-        return out
-
-    mu_train = centroids(z_train, ds.train)
-    mu_test = centroids(z_test, ds.test)
+    mu_train, mu_test = centroids(ds.train), centroids(ds.test)
 
     per_pair = {}
     for key in sorted(mu_test):

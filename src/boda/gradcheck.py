@@ -7,7 +7,7 @@ import numpy as np
 from . import losses
 from .errors import ValidationError
 from .numerics import make_rng
-from .stats import FeatureStats, StatsStore
+from .stats import StatsStore
 
 
 def central_difference(fn, x, h: float = 1e-5) -> np.ndarray:
@@ -48,15 +48,14 @@ def random_instance(rng: np.random.Generator):
     dim = int(rng.integers(2, 9))
     num_domains = int(rng.integers(2, 4))
     num_classes = int(rng.integers(2, 5))
-    stats = []
-    for d in range(num_domains):
-        for c in range(num_classes):
-            mu = 2.0 * rng.standard_normal(dim)
-            a = rng.standard_normal((dim, dim)) / np.sqrt(dim)
-            sigma = a @ a.T + 0.1 * np.eye(dim)
-            count = int(rng.integers(1, 51))
-            stats.append(FeatureStats((d, c), mu, sigma, count))
-    store = StatsStore(stats)
+    mus, sigmas, counts = [], [], []
+    for _ in range(num_domains * num_classes):  # domain-major key order
+        mus.append(2.0 * rng.standard_normal(dim))
+        a = rng.standard_normal((dim, dim)) / np.sqrt(dim)
+        sigmas.append(a @ a.T + 0.1 * np.eye(dim))
+        counts.append(int(rng.integers(1, 51)))
+    domain, cls = np.divmod(np.arange(num_domains * num_classes), num_classes)
+    store = StatsStore(domain, cls, mus, sigmas, counts)
     z = 2.0 * rng.standard_normal(dim)
     d_i = int(rng.integers(0, num_domains))
     c_i = int(rng.integers(0, num_classes))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import BLOCK_ELEMS, inverse_shrunk
+from .numerics import BLOCK_ELEMS
 from .stats import (
     StatsStore,
     TransferStats,
@@ -115,8 +115,7 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
                 np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
             )
     else:
-        inverses = [inverse_shrunk(st.sigma) for st in store.values()]
-        for j, a in enumerate(inverses):
+        for j, a in enumerate(store.inverses):
             diff = z - mus[j]
             dist[:, j] = np.sqrt(
                 np.maximum(np.einsum("nh,hk,nk->n", diff, a, diff), 0.0)
@@ -165,7 +164,7 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
             diff = z[r:r + step, None, :] - mus[None, :, :]
             grad[r:r + step] = np.einsum("nk,nkh->nh", coeff[r:r + step], diff)
     else:
-        for j, a in enumerate(inverses):
+        for j, a in enumerate(store.inverses):
             grad += coeff[:, j:j + 1] * ((z - mus[j]) @ a)
     if reduction == "mean":
         grad /= n_contrib
@@ -304,7 +303,7 @@ def verify_bound(z, domains, labels, nu: float = 1.0,
     result = alignment_loss("calibrated_boda" if calibrated else "boda", z,
                             domains, labels, store, nu=nu, reduction="sum")
     graph = build_graph(store, groups, metric="euclidean")
-    counts = {k: store[k].count for k in store.keys()}
+    counts = dict(zip(store.keys(), store.counts))
     ts = transfer_stats(graph, nu=nu if calibrated else None, counts=counts)
     rhs_fn = theorem2_rhs if calibrated else theorem1_rhs
     theoretical = rhs_fn(ts, z.shape[0], len(obs_domains), len(obs_classes))

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ from .numerics import BLOCK_ELEMS, inverse_shrunk, sym_eig
 
 @dataclass
 class FeatureStats:
-    """First/second-order feature statistics of one domain-class pair."""
+    """One pair's statistics: views of one row of a ``StatsStore``."""
 
     key: tuple            # (domain, class)
     mu: np.ndarray        # (h,)
@@ -34,99 +35,130 @@ class FeatureStats:
 
 
 class StatsStore:
-    """Ordered map from (domain, class) to FeatureStats.
+    """Statistics of K sampled (domain, class) pairs, stacked in key order.
 
-    Keys are kept domain-major, class-minor; pairs without samples are
-    simply absent. ``mu`` (K, h), ``counts`` (K,) and the key arrays
-    ``key_domain`` / ``key_class`` (K,) are stacked once, in key order.
+    ``key_domain`` / ``key_class`` (K,) hold the keys, domain-major; ``mu``
+    (K, h), ``sigma`` (K, h, h) (population covariances) and ``counts`` (K,)
+    their statistics. Pairs without samples are absent. The arrays are
+    read-only and a store never changes (``momentum_update`` makes a new
+    one), so its shrunk inverses are computed once and cannot go stale.
     """
 
-    def __init__(self, stats=None):
-        self._stats = dict(sorted({st.key: st for st in stats or []}.items()))
-        values = list(self._stats.values())
-        self.mu = np.stack([st.mu for st in values]) if values \
-            else np.zeros((0, 0))
-        self.counts = np.array([st.count for st in values], dtype=np.float64)
-        self.key_domain = np.array([k[0] for k in self._stats], dtype=np.int64)
-        self.key_class = np.array([k[1] for k in self._stats], dtype=np.int64)
+    def __init__(self, key_domain, key_class, mu, sigma, counts):
+        self.key_domain = np.array(key_domain, dtype=np.int64)
+        self.key_class = np.array(key_class, dtype=np.int64)
+        self.mu = np.array(mu, dtype=np.float64)
+        self.sigma = np.array(sigma, dtype=np.float64)
+        self.counts = np.array(counts, dtype=np.float64)
+        k, h = len(self.key_domain), self.mu.shape[-1]
+        if (self.key_class.shape, self.counts.shape, self.mu.shape,
+                self.sigma.shape) != ((k,), (k,), (k, h), (k, h, h)):
+            raise ValidationError("store arrays do not share one K and h")
+        # Domain-major integer codes: ascending iff the keys are sorted and
+        # distinct; a class outside the keys' range can match no key.
+        self._c0 = int(self.key_class.min(initial=0))
+        self._span = int(self.key_class.max(initial=0)) - self._c0 + 1
+        self.key_code = (self.key_domain - self.key_domain[:1]) * self._span \
+            + self.key_class - self._c0
+        if np.any(np.diff(self.key_code) <= 0):
+            raise ValidationError("store keys must be distinct and sorted")
+        for a in (self.key_domain, self.key_class, self.mu, self.sigma,
+                  self.counts, self.key_code):
+            a.flags.writeable = False
+        self._row = {key: i for i, key in enumerate(
+            zip(self.key_domain.tolist(), self.key_class.tolist()))}
 
     def index(self, domains, labels) -> np.ndarray:
         """Row of each sample's (domain, class) pair, in key order."""
-        if not self._stats:
+        if not self._row:
             raise ValidationError("statistics store is empty")
         d = np.atleast_1d(np.asarray(domains, dtype=np.int64))
         c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-        # Domain-major integer codes: the sorted keys' codes ascend, and a
-        # class outside the keys' range can match no key.
-        d0, c0 = self.key_domain[0], self.key_class.min()
-        span = self.key_class.max() - c0 + 1
-        key_code = (self.key_domain - d0) * span + self.key_class - c0
-        code = (d - d0) * span + c - c0
-        idx = np.minimum(np.searchsorted(key_code, code), len(key_code) - 1)
-        found = (key_code[idx] == code) & (c >= c0) & (c - c0 < span)
+        code = (d - self.key_domain[0]) * self._span + c - self._c0
+        idx = np.minimum(np.searchsorted(self.key_code, code), len(self) - 1)
+        found = (self.key_code[idx] == code) & (c >= self._c0) \
+            & (c - self._c0 < self._span)
         if not found.all():
             i = int(np.argmin(found))
             raise ValidationError(
                 f"sample pair ({d[i]}, {c[i]}) has no statistics")
         return idx
 
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """``inverse_shrunk`` of each ``sigma`` (K, h, h), on first use."""
+        out = np.array([inverse_shrunk(s) for s in self.sigma])
+        out.flags.writeable = False
+        return out.reshape(self.sigma.shape)
+
     def __contains__(self, key):
-        return tuple(key) in self._stats
+        return tuple(key) in self._row
 
     def __getitem__(self, key) -> FeatureStats:
-        return self._stats[tuple(key)]
+        i = self._row[tuple(key)]
+        return FeatureStats(tuple(key), self.mu[i], self.sigma[i],
+                            int(self.counts[i]))
 
     def __len__(self):
-        return len(self._stats)
+        return len(self._row)
 
     def keys(self):
-        return list(self._stats.keys())
-
-    def values(self):
-        return list(self._stats.values())
+        return list(self._row)
 
 
-def group_by_pair(z, domains, labels) -> dict:
-    """Group feature rows by (domain, class) key, preserving row order."""
-    z = np.asarray(z, dtype=np.float64)
+def pair_grouping(domains, labels):
+    """``(keys, order, bounds)``: the sampled pairs, domain-major; a stable
+    sort of the rows by pair; pair i's rows ``order[bounds[i]:bounds[i+1]]``
+    in their original order. A fixed dataset is grouped once."""
     d = np.asarray(domains, dtype=np.int64)
     c = np.asarray(labels, dtype=np.int64)
-    if d.size == 0:
-        return {}
-    # One integer per pair, domain-major; a stable sort keeps each group's
-    # rows in their original order.
-    code = (d - d.min()) * (int(c.max() - c.min()) + 1) + (c - c.min())
+    # One nonnegative integer per pair, domain-major.
+    c0 = c.min(initial=0)
+    code = (d - d.min(initial=0)) * (c.max(initial=0) - c0 + 1) + (c - c0)
     order = np.argsort(code, kind="stable")
     starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-    return {
-        (int(d[order[start]]), int(c[order[start]])): z[rows]
-        for start, rows in zip(starts, np.split(order, starts[1:]))
-    }
+    first = order[starts]
+    return (list(zip(d[first].tolist(), c[first].tolist())), order,
+            np.append(starts, d.size))
+
+
+def group_by_pair(z, domains, labels, grouping=None) -> dict:
+    """Group feature rows by (domain, class) key, preserving row order.
+
+    The groups are views of one gather of ``z``; passing the
+    ``pair_grouping`` of these domains and labels skips its sort.
+    """
+    keys, order, bounds = grouping or pair_grouping(domains, labels)
+    rows = np.asarray(z, dtype=np.float64)[order]
+    b = bounds.tolist()
+    return {key: rows[b[i]:b[i + 1]] for i, key in enumerate(keys)}
 
 
 def compute_stats(features_by_key: dict) -> StatsStore:
     """Mean, population covariance, and count for each sampled pair.
 
     Empty groups are omitted (a pair with no data has no statistics);
-    non-finite features are rejected.
+    non-finite features are rejected. Each pair fills one row of the arrays.
     """
-    stats = []
-    for key in sorted(features_by_key):
-        z = np.asarray(features_by_key[key], dtype=np.float64)
-        if z.size == 0:
-            continue
-        if z.ndim != 2:
-            raise ValidationError("features must be 2-D per group")
+    keys = [k for k in sorted(features_by_key)
+            if np.size(features_by_key[k])]
+    groups = [np.asarray(features_by_key[k], dtype=np.float64) for k in keys]
+    if any(z.ndim != 2 for z in groups):
+        raise ValidationError("features must be 2-D per group")
+    h = groups[0].shape[1] if groups else 0
+    mu, sigma = np.empty((len(keys), h)), np.empty((len(keys), h, h))
+    for i, (key, z) in enumerate(zip(keys, groups)):
         if not np.all(np.isfinite(z)):
             raise ValidationError(f"non-finite feature in group {key}")
-        mu = z.mean(axis=0)
-        centered = z - mu
-        sigma = centered.T @ centered / z.shape[0]
-        stats.append(FeatureStats(tuple(key), mu, sigma, z.shape[0]))
-    return StatsStore(stats)
+        mu[i] = z.mean(axis=0)
+        centered = z - mu[i]
+        sigma[i] = centered.T @ centered / z.shape[0]
+    return StatsStore([k[0] for k in keys], [k[1] for k in keys], mu, sigma,
+                      [len(z) for z in groups])
 
 
-def momentum_update(prev: StatsStore, current: StatsStore, alpha_m: float) -> StatsStore:
+def momentum_update(prev: StatsStore, current: StatsStore,
+                    alpha_m: float) -> StatsStore:
     """Blend two stores: ``alpha_m * prev + (1 - alpha_m) * current``.
 
     Keys present only in ``current`` are inserted as-is; keys missing from
@@ -135,44 +167,25 @@ def momentum_update(prev: StatsStore, current: StatsStore, alpha_m: float) -> St
     """
     if not 0.0 <= alpha_m <= 1.0:
         raise ValidationError("alpha_m must be in [0, 1]")
-    merged = []
-    for key in sorted(set(prev.keys()) | set(current.keys())):
-        if key not in prev:
-            merged.append(current[key])
-        elif key not in current:
-            merged.append(prev[key])
-        else:
-            p, c = prev[key], current[key]
-            merged.append(
-                FeatureStats(
-                    key,
-                    alpha_m * p.mu + (1.0 - alpha_m) * c.mu,
-                    alpha_m * p.sigma + (1.0 - alpha_m) * c.sigma,
-                    c.count,
-                )
-            )
-    return StatsStore(merged)
-
-
-def transferability(src_samples, mu_dst, metric: str = "euclidean",
-                    sigma_inv=None) -> float:
-    """Mean distance from source samples to a destination centroid."""
-    src = np.asarray(src_samples, dtype=np.float64)
-    mu_dst = np.asarray(mu_dst, dtype=np.float64)
-    if src.ndim != 2 or src.shape[0] == 0:
-        raise ValidationError("source sample set must be nonempty and 2-D")
-    if src.shape[1] != mu_dst.shape[0]:
-        raise ValidationError("feature dimension mismatch")
-    diff = src - mu_dst
-    if metric == "euclidean":
-        d = np.sqrt(np.sum(diff * diff, axis=1))
-    elif metric == "mahalanobis":
-        if sigma_inv is None:
-            raise ValidationError("mahalanobis metric needs sigma_inv")
-        d = np.sqrt(np.maximum(np.einsum("nh,hk,nk->n", diff, sigma_inv, diff), 0.0))
-    else:
-        raise ValidationError(f"unknown metric {metric!r}")
-    return float(d.mean())
+    dom = np.concatenate([prev.key_domain, current.key_domain])
+    cls = np.concatenate([prev.key_class, current.key_class])
+    _, order, bounds = pair_grouping(dom, cls)
+    # A key of the union groups two entries when both stores hold it; both
+    # list their keys in ascending order, so the shared ones line up.
+    sizes = np.diff(bounds)
+    row = np.empty_like(order)
+    row[order] = np.repeat(np.arange(len(sizes)), sizes)
+    row_p, row_c = np.split(row, [len(prev)])
+    in_p, in_c = sizes[row_p] == 2, sizes[row_c] == 2
+    merged = {}
+    for name in ("mu", "sigma", "counts"):
+        p, c = getattr(prev, name), getattr(current, name)
+        merged[name] = out = np.empty((len(sizes),) + c.shape[1:])
+        out[row_p], out[row_c] = p, c
+        if name != "counts":
+            out[row_c[in_c]] = alpha_m * p[in_p] + (1.0 - alpha_m) * c[in_c]
+    first = order[bounds[:-1]]
+    return StatsStore(dom[first], cls[first], **merged)
 
 
 @dataclass
@@ -187,21 +200,21 @@ def build_graph(store: StatsStore, features_by_key: dict,
                 metric: str = "euclidean") -> TransferabilityGraph:
     """Full directed transferability matrix over the sampled pairs.
 
-    Row i is ``transferability`` from pair i's samples to every centroid,
-    over blocks of at most about ``BLOCK_ELEMS`` differences ``z - mu``
-    (exact near a centroid, where an expanded square would cancel).
+    Row i is the mean distance from pair i's samples to every centroid
+    (under the store's cached shrunk inverse covariances for
+    ``"mahalanobis"``), over blocks of at most about ``BLOCK_ELEMS``
+    differences ``z - mu`` (exact near a centroid, where an expanded square
+    would cancel).
     """
     keys = [tuple(k) for k in sorted(features_by_key)]
-    for key in keys:
-        if key not in store:
-            raise ValidationError(f"no statistics for sampled pair {key}")
     if metric not in ("euclidean", "mahalanobis"):
         raise ValidationError(f"unknown metric {metric!r}")
+    rows = store.index([k[0] for k in keys], [k[1] for k in keys])
     k_count = len(keys)
     weights = np.zeros((k_count, k_count))
-    mus = np.array([store[k].mu for k in keys])
+    mus = store.mu[rows]
     if metric == "mahalanobis":
-        sigma_invs = np.array([inverse_shrunk(store[k].sigma) for k in keys])
+        sigma_invs = store.inverses[rows]
     for i, key in enumerate(keys):
         src = np.asarray(features_by_key[key], dtype=np.float64)
         if src.ndim != 2 or src.size == 0 or src.shape[1] != mus.shape[1]:
@@ -334,16 +347,10 @@ def save_mds_csv(keys, coords, path) -> None:
 
 
 def save_stats(store: StatsStore, path) -> None:
-    payload = [
-        {
-            "domain": int(st.key[0]),
-            "class": int(st.key[1]),
-            "mu": [float(v) for v in st.mu],
-            "sigma": [[float(v) for v in row] for row in st.sigma],
-            "count": int(st.count),
-        }
-        for st in store.values()
-    ]
+    payload = [{"domain": d, "class": c, "mu": mu.tolist(),
+                "sigma": sigma.tolist(), "count": int(count)}
+               for (d, c), mu, sigma, count in zip(
+                   store.keys(), store.mu, store.sigma, store.counts)]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

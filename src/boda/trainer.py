@@ -17,9 +17,10 @@ import numpy as np
 
 from . import evaluation, losses, model
 from .datagen import Dataset
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import make_rng
-from .stats import build_graph, compute_stats, group_by_pair, momentum_update, transfer_stats
+from .stats import (build_graph, compute_stats, group_by_pair,
+                    momentum_update, pair_grouping, transfer_stats)
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,19 @@ class _Optimizer:
 
 
 def encode_features(params: model.ModelParams, split):
+    """Representations of a split; a non-finite one is an overflow of the
+    model (a diverged run), not an input error."""
     z, _, _ = model.forward(params, split.x)
+    if not np.isfinite(z).all():
+        raise NumericalError("non-finite representation: the model diverged")
     return z
 
 
-def _full_pass_stats(params, ds: Dataset):
+def _full_pass_stats(params, ds: Dataset, grouping):
+    """Statistics of the training rows, grouped by the run's ``grouping``."""
     z = encode_features(params, ds.train)
-    return compute_stats(group_by_pair(z, ds.train.domain, ds.train.label)), z
+    return compute_stats(group_by_pair(z, ds.train.domain, ds.train.label,
+                                       grouping))
 
 
 def _diagnostics(params, ds: Dataset, nu: float):
@@ -141,9 +148,8 @@ def _diagnostics(params, ds: Dataset, nu: float):
     except ValidationError:
         bound_gap = float("nan")
         groups = group_by_pair(z, ds.train.domain, ds.train.label)
-        store = compute_stats(groups)
         try:
-            ts = transfer_stats(build_graph(store, groups))
+            ts = transfer_stats(build_graph(compute_stats(groups), groups))
         except ValidationError:
             return float("nan"), float("nan"), float("nan"), bound_gap
     return ts.alpha, ts.beta, ts.gamma, bound_gap
@@ -187,13 +193,14 @@ def train(ds: Dataset, cfg: TrainConfig):
     store = None
     store_refresh_step = -1
     if use_alignment:
-        store, _ = _full_pass_stats(params, ds)
+        grouping = pair_grouping(ds.train.domain, ds.train.label)
+        store = _full_pass_stats(params, ds, grouping)
         store_refresh_step = 0
 
     log = TrainLog()
     for step in range(cfg.steps):
         if use_alignment and step > 0 and step % steps_per_epoch == 0:
-            current, _ = _full_pass_stats(params, ds)
+            current = _full_pass_stats(params, ds, grouping)
             store = momentum_update(store, current, cfg.alpha_m)
             store_refresh_step = step
         if use_alignment:
@@ -220,6 +227,9 @@ def train(ds: Dataset, cfg: TrainConfig):
         log.step_joint.append(joint)
 
         model.backward(params, cache, grad_z, grad_logits, out=grad)
+        if not (math.isfinite(joint) and np.isfinite(grad.flat).all()):
+            raise NumericalError(f"training diverged at step {step + 1}: "
+                                 "non-finite loss or gradient")
         opt.step(params.flat, grad.flat)
 
         done = step + 1
@@ -240,16 +250,10 @@ def retrain_classifier(params: model.ModelParams, ds: Dataset,
     uniform over the nonzero domain-class pairs. Returns (params, log rows).
     """
     out = params.copy()
-    pairs = ds.nonzero_pairs()
+    pairs, members, bounds = pair_grouping(ds.train.domain, ds.train.label)
     if not pairs:
         raise ValidationError("no nonzero pairs to sample from")
-    idx_by_pair = [
-        np.where((ds.train.domain == d) & (ds.train.label == c))[0]
-        for d, c in pairs
-    ]
-    pair_sizes = np.array([len(ix) for ix in idx_by_pair])
-    members = np.concatenate(idx_by_pair)
-    starts = np.cumsum(pair_sizes) - pair_sizes
+    pair_sizes, starts = np.diff(bounds), bounds[:-1]
     rng = make_rng(cfg.seed, stream=13)
     batch = cfg.batch_per_domain * max(len(np.unique(ds.train.domain)), 1)
     grad = replace(out, flat=None)

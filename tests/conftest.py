@@ -67,6 +67,14 @@ def tiny_dataset():
     return generate(tiny_spec(seed=11))
 
 
+def make_store(stats):
+    """A StatsStore holding these FeatureStats records, in any key order."""
+    stats = sorted(stats, key=lambda st: tuple(st.key))
+    return StatsStore([st.key[0] for st in stats], [st.key[1] for st in stats],
+                      [st.mu for st in stats], [st.sigma for st in stats],
+                      [st.count for st in stats])
+
+
 def random_store(rng, num_domains=2, num_classes=2, dim=3, max_count=50,
                  spread=2.0):
     """Random per-pair statistics with PSD covariances."""
@@ -78,7 +86,7 @@ def random_store(rng, num_domains=2, num_classes=2, dim=3, max_count=50,
             sigma = a @ a.T + 0.1 * np.eye(dim)
             count = int(rng.integers(1, max_count + 1))
             stats.append(FeatureStats((d, c), mu, sigma, count))
-    return StatsStore(stats)
+    return make_store(stats)
 
 
 def random_features(rng, num_domains, num_classes, dim, max_count=50,

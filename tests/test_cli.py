@@ -377,6 +377,32 @@ class TestParameterValidation:
         assert report["gap"] >= 0
 
 
+class TestDivergence:
+    # A run whose loss, gradient or representations overflow is a numerical
+    # failure (exit 3) and saves no checkpoint, whether it blows up inside
+    # the loop (500 steps) or in the final diagnostics (1 step).
+    @pytest.mark.parametrize("steps", [1, 500])
+    @pytest.mark.parametrize("omega,variant", [(0.0, "calibrated_boda"),
+                                               (0.1, "calibrated_boda")],
+                             ids=["erm", "calibrated_boda"])
+    def test_lr_overflow_exit_3(self, tmp_path, capsys, omega, variant,
+                                steps):
+        spec, data = tmp_path / "spec.json", tmp_path / "data.csv"
+        save_spec(divergent_spec(seed=0), spec)
+        assert cli.main(["gen", "--spec", str(spec), "--out", str(data)]) == 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lr": 1e308, "omega": omega,
+                                   "variant": variant, "steps": steps}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--config", str(cfg),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        if steps > 1:
+            assert "training diverged at step 2" in err
+        assert not (out / "checkpoint.json").exists()
+
+
 class TestGradcheck:
     def test_passes_and_reports(self, tmp_path):
         out = tmp_path / "grad.json"

@@ -19,7 +19,6 @@ from boda.losses import (
 from boda.numerics import inverse_shrunk, make_rng
 from boda.stats import (
     FeatureStats,
-    StatsStore,
     TransferStats,
     CalibratedStats,
     build_graph,
@@ -28,7 +27,7 @@ from boda.stats import (
     transfer_stats,
 )
 
-from conftest import random_features, random_store
+from conftest import make_store, random_features, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +162,7 @@ def square_store(counts=(1, 1, 1, 1)):
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     mus = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
            np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    return StatsStore([
+    return make_store([
         FeatureStats(k, mu, np.zeros((2, 2)), n)
         for k, mu, n in zip(keys, mus, counts)
     ])
@@ -181,7 +180,7 @@ class TestDaLoss:
         # centroids on a circle around the sample: softmin is uniform
         keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
         angles = np.linspace(0, 2 * np.pi, 4, endpoint=False)
-        store = StatsStore([
+        store = make_store([
             FeatureStats(k, 2.5 * np.array([np.cos(t), np.sin(t)]),
                          np.zeros((2, 2)), 1)
             for k, t in zip(keys, angles)
@@ -206,7 +205,7 @@ class TestDaLoss:
 
     def test_sample_without_positive_skipped(self):
         # class 1 exists only in domain 0: that sample is skipped, counted
-        store = StatsStore([
+        store = make_store([
             FeatureStats((0, 0), np.zeros(2), np.zeros((2, 2)), 1),
             FeatureStats((0, 1), np.ones(2), np.zeros((2, 2)), 1),
             FeatureStats((1, 0), np.array([0.0, 2.0]), np.zeros((2, 2)), 1),
@@ -278,7 +277,7 @@ class TestBodaLoss:
         # first-order balanced loss up to the shrinkage perturbation
         rng = make_rng(15)
         keys = [(d, c) for d in range(2) for c in range(2)]
-        store = StatsStore([
+        store = make_store([
             FeatureStats(k, 2 * rng.standard_normal(3), np.eye(3),
                          int(rng.integers(1, 20)))
             for k in keys
@@ -390,7 +389,7 @@ class TestGradients:
         assert len(set(probs)) > 1
 
     def test_skipped_sample_raises(self):
-        store = StatsStore([
+        store = make_store([
             FeatureStats((0, 0), np.zeros(2), np.zeros((2, 2)), 1),
             FeatureStats((1, 1), np.ones(2), np.zeros((2, 2)), 1),
         ])

@@ -13,12 +13,90 @@ from boda.stats import (
     load_graph,
     mds_2d,
     momentum_update,
+    pair_grouping,
     save_graph,
     transfer_stats,
-    transferability,
 )
 
-from conftest import random_features
+from conftest import make_store, random_features
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: the per-pair and per-key definitions that the array passes
+# of ``compute_stats``, ``momentum_update`` and ``build_graph`` must match.
+# ---------------------------------------------------------------------------
+
+def compute_stats_oracle(features_by_key: dict) -> dict:
+    """Mean, population covariance and count, one pair at a time."""
+    out = {}
+    for key in sorted(features_by_key):
+        z = np.asarray(features_by_key[key], dtype=np.float64)
+        if z.size == 0:
+            continue
+        mu = z.mean(axis=0)
+        centered = z - mu
+        sigma = centered.T @ centered / z.shape[0]
+        out[tuple(key)] = FeatureStats(tuple(key), mu, sigma, z.shape[0])
+    return out
+
+
+def momentum_oracle(prev: StatsStore, current: StatsStore,
+                    alpha_m: float) -> dict:
+    """``alpha_m * prev + (1 - alpha_m) * current``, one key at a time."""
+    out = {}
+    for key in sorted(set(prev.keys()) | set(current.keys())):
+        if key not in prev:
+            out[key] = current[key]
+        elif key not in current:
+            out[key] = prev[key]
+        else:
+            p, c = prev[key], current[key]
+            out[key] = FeatureStats(
+                key,
+                alpha_m * p.mu + (1.0 - alpha_m) * c.mu,
+                alpha_m * p.sigma + (1.0 - alpha_m) * c.sigma,
+                c.count,
+            )
+    return out
+
+
+def transferability(src_samples, mu_dst, metric="euclidean", sigma_inv=None):
+    """Mean distance from source samples to a destination centroid."""
+    src = np.asarray(src_samples, dtype=np.float64)
+    mu_dst = np.asarray(mu_dst, dtype=np.float64)
+    if src.ndim != 2 or src.shape[0] == 0:
+        raise ValidationError("source sample set must be nonempty and 2-D")
+    if src.shape[1] != mu_dst.shape[0]:
+        raise ValidationError("feature dimension mismatch")
+    diff = src - mu_dst
+    if metric == "euclidean":
+        d = np.sqrt(np.sum(diff * diff, axis=1))
+    else:
+        d = np.sqrt(np.maximum(
+            np.einsum("nh,hk,nk->n", diff, sigma_inv, diff), 0.0))
+    return float(d.mean())
+
+
+def assert_store_bit_equal(store: StatsStore, expected: dict):
+    assert store.keys() == list(expected)
+    for key, st in expected.items():
+        got = store[key]
+        assert got.mu.tobytes() == np.asarray(st.mu).tobytes(), key
+        assert got.sigma.tobytes() == np.asarray(st.sigma).tobytes(), key
+        assert got.count == st.count, key
+
+
+def uneven_groups(rng, num_domains=3, num_classes=5, dim=4, max_count=6):
+    """A grid with counts 1..max_count (singletons included), a few pairs
+    left out, and one added singleton pair at a negative domain."""
+    _, _, _, groups = random_features(rng, num_domains, num_classes, dim,
+                                      max_count=max_count)
+    for key in list(groups):
+        if rng.random() < 0.2:
+            del groups[key]
+    groups[(-1, 2)] = 3.0 * rng.standard_normal((1, dim))
+    return groups
+
 
 UNIT_SQUARE = {
     (0, 0): np.array([[0.0, 0.0]]),
@@ -69,7 +147,7 @@ class TestComputeStats:
 
 class TestMomentumUpdate:
     def _store(self, mu, count=4):
-        return StatsStore([FeatureStats((0, 0), np.array(mu, dtype=float),
+        return make_store([FeatureStats((0, 0), np.array(mu, dtype=float),
                                         np.eye(2), count)])
 
     def test_alpha_one_keeps_prev(self):
@@ -89,8 +167,8 @@ class TestMomentumUpdate:
         np.testing.assert_array_equal(out[(0, 0)].mu, [1.0, 1.0])
 
     def test_new_and_missing_keys(self):
-        prev = StatsStore([FeatureStats((0, 0), np.zeros(2), np.eye(2), 1)])
-        cur = StatsStore([FeatureStats((1, 0), np.ones(2), np.eye(2), 2)])
+        prev = make_store([FeatureStats((0, 0), np.zeros(2), np.eye(2), 1)])
+        cur = make_store([FeatureStats((1, 0), np.ones(2), np.eye(2), 2)])
         out = momentum_update(prev, cur, 0.9)
         np.testing.assert_array_equal(out[(0, 0)].mu, np.zeros(2))
         np.testing.assert_array_equal(out[(1, 0)].mu, np.ones(2))
@@ -101,7 +179,92 @@ class TestMomentumUpdate:
                             self._store([1.0, 1.0]), 1.5)
 
 
+class TestStore:
+    def test_rows_are_read_only_views(self):
+        store = compute_stats(uneven_groups(make_rng(20)))
+        for key in store.keys():
+            st = store[key]
+            assert np.shares_memory(st.mu, store.mu)
+            assert np.shares_memory(st.sigma, store.sigma)
+            assert not st.mu.flags.writeable
+            assert not st.sigma.flags.writeable
+        for name in ("mu", "sigma", "counts", "key_domain", "key_class",
+                     "inverses"):
+            assert not getattr(store, name).flags.writeable, name
+
+    def test_index_finds_every_key(self):
+        store = compute_stats(uneven_groups(make_rng(21)))
+        keys = store.keys()
+        rows = store.index([k[0] for k in keys], [k[1] for k in keys])
+        np.testing.assert_array_equal(rows, np.arange(len(keys)))
+        with pytest.raises(ValidationError, match="no statistics"):
+            store.index([7], [0])
+
+    def test_unsorted_or_duplicate_keys_rejected(self):
+        mu, sigma = np.zeros((2, 2)), np.zeros((2, 2, 2))
+        for domains, classes in (([1, 0], [0, 0]), ([0, 0], [1, 1])):
+            with pytest.raises(ValidationError):
+                StatsStore(domains, classes, mu, sigma, [1, 1])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            StatsStore([0, 1], [0, 0], np.zeros((2, 3)), np.zeros((2, 2, 2)),
+                       [1, 1])
+
+    def test_inverses_match_inverse_shrunk(self):
+        store = compute_stats(uneven_groups(make_rng(22)))
+        for k, sigma in enumerate(store.sigma):
+            assert store.inverses[k].tobytes() == \
+                inverse_shrunk(sigma).tobytes()
+
+
+class TestArrayStatsMatchLoops:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compute_stats_bit_equal(self, seed):
+        groups = uneven_groups(make_rng(30 + seed))
+        store = compute_stats(groups)
+        assert (store.counts == 1).any()
+        assert_store_bit_equal(store, compute_stats_oracle(groups))
+
+    def test_group_by_pair_with_grouping(self):
+        rng = make_rng(36)
+        domains = rng.integers(-1, 3, 200)
+        labels = rng.integers(0, 6, 200)
+        z = rng.standard_normal((200, 3))
+        grouping = pair_grouping(domains, labels)
+        split = group_by_pair(z, None, None, grouping)
+        groups = group_by_pair(z, domains, labels)
+        assert list(split) == list(groups) == grouping[0]
+        for key in groups:
+            assert split[key].tobytes() == groups[key].tobytes()
+        assert_store_bit_equal(compute_stats(split),
+                               compute_stats_oracle(groups))
+
+    @pytest.mark.parametrize("alpha_m", [0.0, 0.3, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_momentum_update_bit_equal(self, seed, alpha_m):
+        rng = make_rng(40 + seed)
+        prev_groups = uneven_groups(rng)
+        cur_groups = uneven_groups(rng)
+        # keys present only in prev, and only in current
+        prev_groups[(5, 0)] = rng.standard_normal((3, 4))
+        cur_groups[(5, 1)] = rng.standard_normal((2, 4))
+        cur_groups.pop((-1, 2))
+        prev, cur = compute_stats(prev_groups), compute_stats(cur_groups)
+        out = momentum_update(prev, cur, alpha_m)
+        assert_store_bit_equal(out, momentum_oracle(prev, cur, alpha_m))
+
+    def test_momentum_update_same_keys(self):
+        groups = uneven_groups(make_rng(44))
+        prev = compute_stats(groups)
+        cur = compute_stats({k: v + 1.0 for k, v in groups.items()})
+        out = momentum_update(prev, cur, 0.9)
+        assert_store_bit_equal(out, momentum_oracle(prev, cur, 0.9))
+
+
 class TestTransferability:
+    """The graph oracle's own definition."""
+
     def test_zero_when_sources_at_centroid(self):
         mu = np.array([1.0, 2.0])
         assert transferability(np.tile(mu, (5, 1)), mu) == 0.0
