@@ -14,8 +14,10 @@ from boda.datagen import DatasetSpec, DomainShift, LabelProfile, generate
 from boda.stats import (
     build_graph,
     compute_stats,
+    distances,
     group_by_pair,
     mds_2d,
+    pair_grouping,
     save_mds_csv,
     transfer_stats,
 )
@@ -43,9 +45,10 @@ params, _ = train(ds, TrainConfig(steps=800, eval_every=800, seed=1,
                                   hidden=(32, 32), rep_dim=8))
 
 z = encode_features(params, ds.train)
-groups = group_by_pair(z, ds.train.domain, ds.train.label)
-store = compute_stats(groups)
-graph = build_graph(store, groups)
+grouping = pair_grouping(ds.train.domain, ds.train.label)
+store = compute_stats(group_by_pair(z, ds.train.domain, ds.train.label,
+                                    grouping))
+graph = build_graph(store, distances(z, store), grouping)
 print(f"\ntransferability matrix over {len(graph.keys)} pairs "
       f"(row = source, column = destination):")
 with np.printoptions(precision=2, suppress=True):

@@ -21,14 +21,11 @@ from . import __version__, evaluation, gradcheck, losses, model, trainer
 from .datagen import generate, load_dataset, load_spec, save_dataset, spec_to_dict
 from .errors import NumericalError, ValidationError
 from .stats import (
-    build_graph,
-    compute_stats,
-    group_by_pair,
+    _graph_pass,
     mds_2d,
     save_graph,
     save_mds_csv,
     save_stats,
-    transfer_stats,
     transfer_stats_to_dict,
 )
 
@@ -125,11 +122,8 @@ def cmd_analyze(args) -> int:
     if len(np.unique(ds.train.domain)) < 2:
         raise ValidationError("analysis needs at least 2 domains with data")
     z = trainer.encode_features(params, ds.train)
-    groups = group_by_pair(z, ds.train.domain, ds.train.label)
-    store = compute_stats(groups)
-    graph = build_graph(store, groups)
-    counts = dict(zip(store.keys(), store.counts))
-    ts = transfer_stats(graph, nu=args.nu, counts=counts)
+    store, _, graph, ts = _graph_pass(z, ds.train.domain, ds.train.label,
+                                      nu=args.nu)
     keys, coords = mds_2d(graph)
 
     os.makedirs(args.out, exist_ok=True)

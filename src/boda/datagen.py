@@ -289,11 +289,10 @@ def load_dataset(path) -> Dataset:
     all_c = np.concatenate([train.label, val.label, test.label])
     num_domains = int(all_d.max()) + 1 if all_d.size else 0
     num_classes = int(all_c.max()) + 1 if all_c.size else 0
-    counts = {
-        (d, c): int(np.sum((train.domain == d) & (train.label == c)))
-        for d in range(num_domains)
-        for c in range(num_classes)
-    }
+    per_pair = np.bincount(train.domain * num_classes + train.label,
+                           minlength=num_domains * num_classes).tolist()
+    counts = {(d, c): per_pair[d * num_classes + c]
+              for d in range(num_domains) for c in range(num_classes)}
     return Dataset(train, val, test, counts, num_domains, num_classes, dim)
 
 

@@ -37,10 +37,9 @@ from .numerics import BLOCK_ELEMS
 from .stats import (
     StatsStore,
     TransferStats,
-    build_graph,
-    compute_stats,
-    group_by_pair,
-    transfer_stats,
+    _graph_pass,
+    distances,
+    pair_grouping,
 )
 
 _DIST_FLOOR = 1e-12
@@ -76,7 +75,7 @@ class BodaGradientDetail:
 
 
 def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
-           want_grad):
+           want_grad, dist=None):
     """The alignment loss of a batch in one pass over its (N, K) distances.
 
     Returns ``(result, grad, prob, dloss_ddist)``. Unless ``want_grad``,
@@ -84,6 +83,8 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     reduced loss, ``prob`` the (N, K) softmin (zero at each sample's own
     pair) and ``dloss_ddist`` the derivative of each sample's loss with
     respect to each raw distance (zero for non-contributing samples).
+    ``dist``, the batch's ``distances`` to ``store`` under the variant's
+    metric when already computed, is overwritten.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
@@ -102,24 +103,8 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     if len(np.unique(store.key_domain)) < 2:
         raise ValidationError("alignment loss needs >= 2 domains with statistics")
     mus, counts = store.mu, store.counts
-    if z.shape[1] != mus.shape[1]:
-        raise ValidationError("feature dimension does not match statistics")
-
-    # Raw distances: exact differences, in row blocks of about BLOCK_ELEMS.
-    dist = np.empty((n, len(counts)))
-    step = max(1, BLOCK_ELEMS // mus.size)
-    if metric == "euclidean":
-        for r in range(0, n, step):
-            diff = z[r:r + step, None, :] - mus[None, :, :]
-            dist[r:r + step] = np.sqrt(
-                np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
-            )
-    else:
-        for j, a in enumerate(store.inverses):
-            diff = z - mus[j]
-            dist[:, j] = np.sqrt(
-                np.maximum(np.einsum("nh,hk,nk->n", diff, a, diff), 0.0)
-            )
+    if dist is None:
+        dist = distances(z, store, metric)
 
     weights = (1.0 / counts[src])[:, None] if balanced else np.ones((n, 1))
     if calibrated:
@@ -160,6 +145,7 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     coeff = dl_ddist / np.maximum(dist, _DIST_FLOOR, out=dist)
     grad = np.zeros_like(z)
     if metric == "euclidean":
+        step = max(1, BLOCK_ELEMS // mus.size)
         for r in range(0, n, step):
             diff = z[r:r + step, None, :] - mus[None, :, :]
             grad[r:r + step] = np.einsum("nk,nkh->nh", coeff[r:r + step], diff)
@@ -288,23 +274,22 @@ def verify_bound(z, domains, labels, nu: float = 1.0,
     bound's counting argument assumes a complete grid).
     """
     z = np.asarray(z, dtype=np.float64)
-    groups = group_by_pair(z, domains, labels)
-    obs_domains = sorted({k[0] for k in groups})
-    obs_classes = sorted({k[1] for k in groups})
+    grouping = pair_grouping(domains, labels)
+    keys = set(grouping[0])
+    obs_domains = sorted({d for d, _ in keys})
+    obs_classes = sorted({c for _, c in keys})
     if len(obs_domains) < 2 or len(obs_classes) < 2:
         raise ValidationError("bound check needs > 1 domain and > 1 class")
-    for d in obs_domains:
-        for c in obs_classes:
-            if (d, c) not in groups:
-                raise ValidationError(
-                    f"bound check needs data for every pair; ({d},{c}) missing"
-                )
-    store = compute_stats(groups)
-    result = alignment_loss("calibrated_boda" if calibrated else "boda", z,
-                            domains, labels, store, nu=nu, reduction="sum")
-    graph = build_graph(store, groups, metric="euclidean")
-    counts = dict(zip(store.keys(), store.counts))
-    ts = transfer_stats(graph, nu=nu if calibrated else None, counts=counts)
+    missing = [(d, c) for d in obs_domains for c in obs_classes
+               if (d, c) not in keys]
+    if missing:
+        raise ValidationError("bound check needs data for every pair; "
+                              "({},{}) missing".format(*missing[0]))
+    # One distance pass: the graph reads it before the loss scales it.
+    store, dist, _, ts = _graph_pass(z, domains, labels,
+                                     nu if calibrated else None, grouping)
+    result = _align("calibrated_boda" if calibrated else "boda", z, domains,
+                    labels, store, nu, "sum", False, dist)[0]
     rhs_fn = theorem2_rhs if calibrated else theorem1_rhs
     theoretical = rhs_fn(ts, z.shape[0], len(obs_domains), len(obs_classes))
     gap = result.value - theoretical

@@ -196,40 +196,61 @@ class TransferabilityGraph:
     weights: np.ndarray   # (K, K); weights[i, j] = trans(key_i -> key_j)
 
 
-def build_graph(store: StatsStore, features_by_key: dict,
-                metric: str = "euclidean") -> TransferabilityGraph:
-    """Full directed transferability matrix over the sampled pairs.
-
-    Row i is the mean distance from pair i's samples to every centroid
-    (under the store's cached shrunk inverse covariances for
-    ``"mahalanobis"``), over blocks of at most about ``BLOCK_ELEMS``
-    differences ``z - mu`` (exact near a centroid, where an expanded square
-    would cancel).
-    """
-    keys = [tuple(k) for k in sorted(features_by_key)]
+def distances(z, store: StatsStore, metric: str = "euclidean") -> np.ndarray:
+    """(N, K) distances from each row of ``z`` to each centroid of ``store``,
+    from exact differences ``z - mu`` (an expanded square would cancel near a
+    centroid): Euclidean in row blocks of about ``BLOCK_ELEMS``, Mahalanobis
+    one destination at a time under the store's cached shrunk inverses."""
     if metric not in ("euclidean", "mahalanobis"):
         raise ValidationError(f"unknown metric {metric!r}")
-    rows = store.index([k[0] for k in keys], [k[1] for k in keys])
-    k_count = len(keys)
-    weights = np.zeros((k_count, k_count))
-    mus = store.mu[rows]
-    if metric == "mahalanobis":
-        sigma_invs = store.inverses[rows]
-    for i, key in enumerate(keys):
-        src = np.asarray(features_by_key[key], dtype=np.float64)
-        if src.ndim != 2 or src.size == 0 or src.shape[1] != mus.shape[1]:
-            raise ValidationError(f"pair {key} needs a nonempty (n, h) sample")
-        step = max(1, BLOCK_ELEMS // src.size)
-        for j in range(0, k_count, step):
-            diff = mus[j:j + step, None, :] - src[None, :, :]
-            if metric == "euclidean":
-                sq = np.square(diff, out=diff).sum(axis=2)
-            else:
-                sq = np.maximum(
-                    ((diff @ sigma_invs[j:j + step]) * diff).sum(axis=2), 0.0
-                )
-            weights[i, j:j + step] = np.sqrt(sq).mean(axis=1)
+    mus = store.mu
+    if z.shape[1] != mus.shape[1]:
+        raise ValidationError("feature dimension does not match statistics")
+    dist = np.empty((len(z), len(mus)))
+    if metric == "euclidean":
+        step = max(1, BLOCK_ELEMS // mus.size)
+        for r in range(0, len(z), step):
+            diff = z[r:r + step, None, :] - mus[None, :, :]
+            dist[r:r + step] = np.sqrt(
+                np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
+            )
+    else:
+        for j, a in enumerate(store.inverses):
+            diff = z - mus[j]
+            dist[:, j] = np.sqrt(
+                np.maximum(np.einsum("nh,hk,nk->n", diff, a, diff), 0.0)
+            )
+    return dist
+
+
+def build_graph(store: StatsStore, dist, grouping) -> TransferabilityGraph:
+    """Full directed transferability matrix over the sampled pairs.
+
+    ``dist`` holds the (N, K) ``distances`` of the rows to the store's
+    centroids and ``grouping`` the rows' ``pair_grouping``, whose pairs must
+    be the store's. Row i is the mean of pair i's distance rows, reduced
+    along a contiguous (K, n_i) copy.
+    """
+    keys, order, bounds = grouping
+    if keys != store.keys() or dist.shape != (order.size, len(store)):
+        raise ValidationError("distances do not match the store's pairs")
+    b = bounds.tolist()
+    weights = np.empty((len(keys), len(keys)))
+    for i in range(len(keys)):
+        weights[i] = dist[order[b[i]:b[i + 1]]].T.copy().mean(axis=1)
     return TransferabilityGraph(keys, weights)
+
+
+def _graph_pass(z, domains, labels, nu=None, grouping=None):
+    """``(store, dist, graph, ts)``: statistics, the one pass of (N, K)
+    Euclidean distances, the graph built from them and its summaries
+    (calibrated when ``nu`` is given)."""
+    grouping = grouping or pair_grouping(domains, labels)
+    store = compute_stats(group_by_pair(z, domains, labels, grouping))
+    dist = distances(z, store)
+    graph = build_graph(store, dist, grouping)
+    counts = dict(zip(store.keys(), store.counts))
+    return store, dist, graph, transfer_stats(graph, nu=nu, counts=counts)
 
 
 @dataclass
@@ -303,12 +324,11 @@ def mds_2d(graph: TransferabilityGraph):
     Negative eigenvalues of the doubly-centered Gram matrix (possible for
     non-Euclidean dissimilarities) are clamped to zero.
     """
-    k_count = len(graph.keys)
-    if k_count < 2:
+    if len(graph.keys) < 2:
         raise ValidationError("need at least 2 pairs for a 2-D layout")
     d_sym = 0.5 * (graph.weights + graph.weights.T)
-    center = np.eye(k_count) - np.ones((k_count, k_count)) / k_count
-    gram = -0.5 * center @ (d_sym * d_sym) @ center
+    d2 = d_sym * d_sym
+    gram = -0.5 * (d2 - d2.mean(axis=0) - d2.mean(axis=1)[:, None] + d2.mean())
     evals, evecs = sym_eig(gram)
     lam = np.maximum(evals[:2], 0.0)
     coords = evecs[:, :2] * np.sqrt(lam)

@@ -19,8 +19,8 @@ from . import evaluation, losses, model
 from .datagen import Dataset
 from .errors import NumericalError, ValidationError
 from .numerics import make_rng
-from .stats import (build_graph, compute_stats, group_by_pair,
-                    momentum_update, pair_grouping, transfer_stats)
+from .stats import (_graph_pass, compute_stats, group_by_pair,
+                    momentum_update, pair_grouping)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ class _Optimizer:
 def encode_features(params: model.ModelParams, split):
     """Representations of a split; a non-finite one is an overflow of the
     model (a diverged run), not an input error."""
-    z, _, _ = model.forward(params, split.x)
+    with np.errstate(all="ignore"):
+        z, _, _ = model.forward(params, split.x)
     if not np.isfinite(z).all():
         raise NumericalError("non-finite representation: the model diverged")
     return z
@@ -147,9 +148,8 @@ def _diagnostics(params, ds: Dataset, nu: float):
         ts, bound_gap = report.stats, report.gap
     except ValidationError:
         bound_gap = float("nan")
-        groups = group_by_pair(z, ds.train.domain, ds.train.label)
         try:
-            ts = transfer_stats(build_graph(compute_stats(groups), groups))
+            ts = _graph_pass(z, ds.train.domain, ds.train.label)[3]
         except ValidationError:
             return float("nan"), float("nan"), float("nan"), bound_gap
     return ts.alpha, ts.beta, ts.gamma, bound_gap
@@ -213,23 +213,24 @@ def train(ds: Dataset, cfg: TrainConfig):
             for pool in pools
         ])
         cb = ds.train.label[batch_idx]
-        z, logits, cache = model.forward(params, ds.train.x[batch_idx])
-        ce, grad_logits = losses.ce_loss_batch(logits, cb)
-        boda_value, grad_z = 0.0, zero_grad_z
-        if use_alignment:
-            result, g_align = losses.alignment_grad(
-                cfg.variant, z, ds.train.domain[batch_idx], cb, store,
-                nu=cfg.nu, reduction="mean"
-            )
-            boda_value = result.value
-            grad_z = cfg.omega * g_align
-        joint = losses.joint_loss(ce, boda_value, cfg.omega)
-        log.step_joint.append(joint)
+        with np.errstate(all="ignore"):  # the check below reports overflow
+            z, logits, cache = model.forward(params, ds.train.x[batch_idx])
+            ce, grad_logits = losses.ce_loss_batch(logits, cb)
+            boda_value, grad_z = 0.0, zero_grad_z
+            if use_alignment:
+                result, g_align = losses.alignment_grad(
+                    cfg.variant, z, ds.train.domain[batch_idx], cb, store,
+                    nu=cfg.nu, reduction="mean"
+                )
+                boda_value = result.value
+                grad_z = cfg.omega * g_align
+            joint = losses.joint_loss(ce, boda_value, cfg.omega)
+            log.step_joint.append(joint)
 
-        model.backward(params, cache, grad_z, grad_logits, out=grad)
-        if not (math.isfinite(joint) and np.isfinite(grad.flat).all()):
-            raise NumericalError(f"training diverged at step {step + 1}: "
-                                 "non-finite loss or gradient")
+            model.backward(params, cache, grad_z, grad_logits, out=grad)
+            if not (math.isfinite(joint) and np.isfinite(grad.flat).all()):
+                raise NumericalError(f"training diverged at step {step + 1}: "
+                                     "non-finite loss or gradient")
         opt.step(params.flat, grad.flat)
 
         done = step + 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from boda.datagen import DatasetSpec, DomainShift, LabelProfile, generate
-from boda.stats import FeatureStats, StatsStore
+from boda.stats import (FeatureStats, StatsStore, build_graph, distances,
+                        pair_grouping)
 
 
 def divergent_spec(seed=0, max_count=200, ratio=100.0, input_dim=24,
@@ -106,3 +107,15 @@ def random_features(rng, num_domains, num_classes, dim, max_count=50,
         np.full(len(groups[k]), k[1], dtype=np.int64) for k in sorted(groups)
     ])
     return z, doms, labs, groups
+
+
+def graph_of(store, groups, metric="euclidean"):
+    """``build_graph`` of per-pair feature groups: their rows stacked in
+    key order and their ``distances`` to the store's centroids."""
+    keys = sorted(groups)
+    sizes = [len(groups[k]) for k in keys]
+    z = np.vstack([np.asarray(groups[k], dtype=np.float64) for k in keys])
+    doms = np.repeat([k[0] for k in keys], sizes)
+    labs = np.repeat([k[1] for k in keys], sizes)
+    return build_graph(store, distances(z, store, metric),
+                       pair_grouping(doms, labs))

@@ -20,7 +20,6 @@ from boda.losses import alignment_loss, verify_bound
 from boda.numerics import make_rng
 from boda.stats import (
     TransferabilityGraph,
-    build_graph,
     compute_stats,
     group_by_pair,
     mds_2d,
@@ -28,7 +27,8 @@ from boda.stats import (
 )
 from boda.trainer import TrainConfig, retrain_classifier, sweep, train
 
-from conftest import balanced_spec, divergent_spec, random_features, tiny_spec
+from conftest import (balanced_spec, divergent_spec, graph_of,
+                      random_features, tiny_spec)
 
 
 def ok(criterion: int, message: str) -> None:
@@ -233,7 +233,7 @@ def test_criterion_9_reductions_hold_exactly():
     z, doms, labs, groups = random_features(rng, 2, 4, 3, max_count=1)
     groups = {k: np.repeat(v, 6, axis=0) for k, v in groups.items()}
     store = compute_stats(groups)
-    graph = build_graph(store, groups)
+    graph = graph_of(store, groups)
     counts = {k: store[k].count for k in store.keys()}
     ts = transfer_stats(graph, nu=1.3, counts=counts)
     assert ts.calibrated.alpha == ts.alpha
@@ -304,4 +304,24 @@ def test_criterion_11_cli_determinism(tmp_path):
                          "--out", str(out), "--seed", "9"]) == 0
         sweeps.append((out / "trials.csv").read_bytes())
     assert sweeps[0] == sweeps[1]
-    ok(11, "gen, train, and sweep reruns byte-identical")
+
+    # analyze and verify-bound --calibrated twice in this process, as the
+    # benchmark reruns them; manifests hold wall times and are left out
+    ckpt = str(tmp_path / "r1" / "checkpoint.json")
+    analyses, bounds = [], []
+    for name in ("a1", "a2"):
+        out = tmp_path / name
+        assert cli.main(["analyze", "--checkpoint", ckpt,
+                         "--data", str(tmp_path / "d1.csv"),
+                         "--out", str(out)]) == 0
+        analyses.append({f: (out / f).read_bytes() for f in (
+            "graph.json", "transfer_stats.json", "mds.csv", "stats.json")})
+        bound = tmp_path / f"{name}_bound.json"
+        assert cli.main(["verify-bound", "--checkpoint", ckpt,
+                         "--data", str(tmp_path / "d1.csv"),
+                         "--out", str(bound), "--calibrated"]) == 0
+        bounds.append(bound.read_bytes())
+    assert analyses[0] == analyses[1]
+    assert bounds[0] == bounds[1]
+    ok(11, "gen, train, sweep, analyze, and verify-bound reruns "
+           "byte-identical")

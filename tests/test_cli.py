@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -381,10 +382,12 @@ class TestDivergence:
     # A run whose loss, gradient or representations overflow is a numerical
     # failure (exit 3) and saves no checkpoint, whether it blows up inside
     # the loop (500 steps) or in the final diagnostics (1 step).
+    # The one-line report is all it prints: no numpy RuntimeWarning.
     @pytest.mark.parametrize("steps", [1, 500])
     @pytest.mark.parametrize("omega,variant", [(0.0, "calibrated_boda"),
-                                               (0.1, "calibrated_boda")],
-                             ids=["erm", "calibrated_boda"])
+                                               (0.1, "calibrated_boda"),
+                                               (0.1, "boda_m")],
+                             ids=["erm", "calibrated_boda", "boda_m"])
     def test_lr_overflow_exit_3(self, tmp_path, capsys, omega, variant,
                                 steps):
         spec, data = tmp_path / "spec.json", tmp_path / "data.csv"
@@ -394,8 +397,12 @@ class TestDivergence:
         cfg.write_text(json.dumps({"lr": 1e308, "omega": omega,
                                    "variant": variant, "steps": steps}))
         out = tmp_path / "run"
-        assert cli.main(["train", "--data", str(data), "--config", str(cfg),
-                         "--out", str(out)]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["train", "--data", str(data), "--config",
+                             str(cfg), "--out", str(out)]) == 3
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ")
         if steps > 1:

@@ -21,13 +21,12 @@ from boda.stats import (
     FeatureStats,
     TransferStats,
     CalibratedStats,
-    build_graph,
     compute_stats,
     group_by_pair,
     transfer_stats,
 )
 
-from conftest import make_store, random_features, random_store
+from conftest import graph_of, make_store, random_features, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +538,7 @@ class TestVerifyBound:
         groups = group_by_pair(z, doms, labs)
         store = compute_stats(groups)
         counts = {k: store[k].count for k in store.keys()}
-        ts = transfer_stats(build_graph(store, groups),
+        ts = transfer_stats(graph_of(store, groups),
                             nu=0.7 if calibrated else None, counts=counts)
         assert report.stats == ts
 

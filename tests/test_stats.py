@@ -7,7 +7,6 @@ from boda.numerics import inverse_shrunk, make_rng
 from boda.stats import (
     FeatureStats,
     StatsStore,
-    build_graph,
     compute_stats,
     group_by_pair,
     load_graph,
@@ -18,7 +17,7 @@ from boda.stats import (
     transfer_stats,
 )
 
-from conftest import make_store, random_features
+from conftest import graph_of, make_store, random_features
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +288,12 @@ class TestTransferability:
 class TestBuildGraph:
     def test_single_key(self):
         groups = {(0, 0): np.array([[1.0, 1.0], [3.0, 1.0]])}
-        graph = build_graph(compute_stats(groups), groups)
+        graph = graph_of(compute_stats(groups), groups)
         assert graph.weights.shape == (1, 1)
         assert graph.weights[0, 0] == pytest.approx(1.0)  # mean |z - mu|
 
     def test_unit_square_enumeration(self):
-        graph = build_graph(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
         assert graph.keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
         w = graph.weights
         root2 = np.sqrt(2.0)
@@ -315,17 +314,17 @@ class TestBuildGraph:
         tight = rng.standard_normal((50, 2)) * 0.1
         wide = np.array([4.0, 0.0]) + rng.standard_normal((50, 2)) * 2.0
         groups = {(0, 0): tight, (1, 0): wide}
-        graph = build_graph(compute_stats(groups), groups)
+        graph = graph_of(compute_stats(groups), groups)
         assert abs(graph.weights[0, 1] - graph.weights[1, 0]) > 0.05
 
     def test_missing_stats_rejected(self):
         groups = {(0, 0): np.zeros((1, 2)), (1, 0): np.ones((1, 2))}
         store = compute_stats({(0, 0): np.zeros((1, 2))})
         with pytest.raises(ValidationError):
-            build_graph(store, groups)
+            graph_of(store, groups)
 
     def test_graph_json_roundtrip(self, tmp_path):
-        graph = build_graph(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
         path = tmp_path / "graph.json"
         save_graph(graph, path)
         loaded = load_graph(path)
@@ -389,7 +388,7 @@ class TestArrayPassesMatchLoops:
         if block is not None:
             monkeypatch.setattr(stats, "BLOCK_ELEMS", block)
         store, groups = uneven_grid
-        graph = build_graph(store, groups)
+        graph = graph_of(store, groups)
         assert graph.keys == sorted(groups)
         np.testing.assert_array_equal(graph.weights,
                                       graph_oracle(store, groups, "euclidean"))
@@ -399,7 +398,7 @@ class TestArrayPassesMatchLoops:
         if block is not None:
             monkeypatch.setattr(stats, "BLOCK_ELEMS", block)
         store, groups = uneven_grid
-        graph = build_graph(store, groups, metric="mahalanobis")
+        graph = graph_of(store, groups, metric="mahalanobis")
         # matmul and einsum sum h x h products in different orders
         np.testing.assert_allclose(
             graph.weights, graph_oracle(store, groups, "mahalanobis"),
@@ -409,11 +408,11 @@ class TestArrayPassesMatchLoops:
     def test_unknown_metric_rejected(self, uneven_grid):
         store, groups = uneven_grid
         with pytest.raises(ValidationError):
-            build_graph(store, groups, metric="cosine")
+            graph_of(store, groups, metric="cosine")
 
     def test_transfer_stats_plain_and_calibrated(self, uneven_grid):
         store, groups = uneven_grid
-        graph = build_graph(store, groups)
+        graph = graph_of(store, groups)
         counts = {k: store[k].count for k in store.keys()}
         ts = transfer_stats(graph, nu=1.3, counts=counts)
         plain, cal = transfer_stats_oracle(graph, nu=1.3, counts=counts)
@@ -447,14 +446,14 @@ class TestArrayPassesMatchLoops:
 
 class TestTransferStats:
     def test_unit_square_values(self):
-        graph = build_graph(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
         ts = transfer_stats(graph)
         assert ts.alpha == pytest.approx(1.0)
         assert ts.beta == pytest.approx(1.0)
         assert ts.gamma == pytest.approx(np.sqrt(2.0))
 
     def test_equal_counts_calibrated_matches_plain(self):
-        graph = build_graph(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
         counts = {k: 7 for k in graph.keys}
         ts = transfer_stats(graph, nu=1.3, counts=counts)
         assert ts.calibrated.alpha == ts.alpha
@@ -465,7 +464,7 @@ class TestTransferStats:
         rng = make_rng(5)
         z, doms, labs, groups = random_features(rng, 3, 4, 3)
         store = compute_stats(groups)
-        graph = build_graph(store, groups)
+        graph = graph_of(store, groups)
         counts = {k: store[k].count for k in store.keys()}
         ts = transfer_stats(graph, nu=0.0, counts=counts)
         assert ts.calibrated.alpha == ts.alpha
@@ -476,13 +475,13 @@ class TestTransferStats:
         rng = make_rng(6)
         z, doms, labs, groups = random_features(rng, 2, 3, 4)
         store = compute_stats(groups)
-        ts = transfer_stats(build_graph(store, groups))
+        ts = transfer_stats(graph_of(store, groups))
         # permute domain ids (0<->1) and class ids (cyclic shift)
         remap = {
             (d, c): (1 - d, (c + 1) % 3) for d in range(2) for c in range(3)
         }
         groups2 = {remap[k]: v for k, v in groups.items()}
-        ts2 = transfer_stats(build_graph(compute_stats(groups2), groups2))
+        ts2 = transfer_stats(graph_of(compute_stats(groups2), groups2))
         assert ts2.alpha == pytest.approx(ts.alpha, rel=1e-12)
         assert ts2.beta == pytest.approx(ts.beta, rel=1e-12)
         assert ts2.gamma == pytest.approx(ts.gamma, rel=1e-12)
@@ -490,17 +489,17 @@ class TestTransferStats:
     def test_translation_invariance(self):
         rng = make_rng(7)
         z, doms, labs, groups = random_features(rng, 2, 2, 5)
-        ts = transfer_stats(build_graph(compute_stats(groups), groups))
+        ts = transfer_stats(graph_of(compute_stats(groups), groups))
         shift = 13.7 * np.ones(5)
         groups2 = {k: v + shift for k, v in groups.items()}
-        ts2 = transfer_stats(build_graph(compute_stats(groups2), groups2))
+        ts2 = transfer_stats(graph_of(compute_stats(groups2), groups2))
         assert ts2.alpha == pytest.approx(ts.alpha, rel=1e-9)
         assert ts2.beta == pytest.approx(ts.beta, rel=1e-9)
         assert ts2.gamma == pytest.approx(ts.gamma, rel=1e-9)
 
     def test_single_domain_rejected(self):
         groups = {(0, 0): np.zeros((2, 2)), (0, 1): np.ones((2, 2))}
-        graph = build_graph(compute_stats(groups), groups)
+        graph = graph_of(compute_stats(groups), groups)
         with pytest.raises(ValidationError):
             transfer_stats(graph)
 

@@ -9,7 +9,7 @@ from boda.errors import ValidationError
 from boda.numerics import make_rng
 from boda.trainer import TrainConfig, retrain_classifier, sweep, train
 
-from conftest import tiny_spec
+from conftest import graph_of, tiny_spec
 
 
 def fast_cfg(**kwargs):
@@ -145,35 +145,40 @@ class TestOptimizer:
 
 
 class TestDiagnostics:
-    """One diagnostics pass builds one transferability graph, whether the
-    bound check accepts the grid or rejects it."""
+    """One diagnostics pass builds one transferability graph and computes
+    the (N, K) distances once, whether the bound check accepts the grid or
+    rejects it."""
 
-    def _count_graphs(self, monkeypatch):
-        calls = []
-        original = stats.build_graph
+    def _count_calls(self, monkeypatch):
+        calls = {"build_graph": [], "distances": []}
+        for name, log in calls.items():
+            original = getattr(stats, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+            def counting(*args, _original=original, _log=log, **kwargs):
+                _log.append(1)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(losses, "build_graph", counting)
-        monkeypatch.setattr(trainer, "build_graph", counting)
+            # every namespace that holds the function by name
+            for module in (stats, losses, trainer):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
         return calls
 
     def _expected(self, params, ds):
         z = trainer.encode_features(params, ds.train)
         groups = stats.group_by_pair(z, ds.train.domain, ds.train.label)
-        graph = stats.build_graph(stats.compute_stats(groups), groups)
+        graph = graph_of(stats.compute_stats(groups), groups)
         return stats.transfer_stats(graph)
 
     def test_complete_grid(self, tiny_dataset, monkeypatch):
         params = model.init(tiny_dataset.input_dim, (8,), 4,
                             tiny_dataset.num_classes, seed=4)
         expected = self._expected(params, tiny_dataset)
-        calls = self._count_graphs(monkeypatch)
+        calls = self._count_calls(monkeypatch)
         alpha, beta, gamma, gap = trainer._diagnostics(params, tiny_dataset,
                                                        1.0)
-        assert len(calls) == 1
+        assert len(calls["build_graph"]) == 1
+        assert len(calls["distances"]) == 1
         assert (alpha, beta, gamma) == (expected.alpha, expected.beta,
                                         expected.gamma)
         assert gap >= -1e-9
@@ -184,12 +189,25 @@ class TestDiagnostics:
         ds = generate(spec)
         params = model.init(ds.input_dim, (8,), 4, ds.num_classes, seed=4)
         expected = self._expected(params, ds)
-        calls = self._count_graphs(monkeypatch)
+        calls = self._count_calls(monkeypatch)
         alpha, beta, gamma, gap = trainer._diagnostics(params, ds, 1.0)
-        assert len(calls) == 1
+        assert len(calls["build_graph"]) == 1
+        assert len(calls["distances"]) == 1
         assert (alpha, beta, gamma) == (expected.alpha, expected.beta,
                                         expected.gamma)
         assert np.isnan(gap)
+
+    @pytest.mark.parametrize("calibrated", [False, True])
+    def test_verify_bound_one_distance_pass(self, tiny_dataset, monkeypatch,
+                                            calibrated):
+        params = model.init(tiny_dataset.input_dim, (8,), 4,
+                            tiny_dataset.num_classes, seed=4)
+        z = trainer.encode_features(params, tiny_dataset.train)
+        calls = self._count_calls(monkeypatch)
+        losses.verify_bound(z, tiny_dataset.train.domain,
+                            tiny_dataset.train.label, calibrated=calibrated)
+        assert len(calls["build_graph"]) == 1
+        assert len(calls["distances"]) == 1
 
 
 class TestRetrainClassifier:
