@@ -54,8 +54,7 @@ print(f"\ntransferability matrix over {len(graph.keys)} pairs "
 with np.printoptions(precision=2, suppress=True):
     print(graph.weights)
 
-counts = {k: store[k].count for k in store.keys()}
-ts = transfer_stats(graph, nu=1.0, counts=counts)
+ts = transfer_stats(graph, nu=1.0, counts=store.counts)
 print(f"\nalpha (same class, cross domain)  = {ts.alpha:.3f}")
 print(f"beta  (same domain, cross class)  = {ts.beta:.3f}")
 print(f"gamma (cross domain, cross class) = {ts.gamma:.3f}")

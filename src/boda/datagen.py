@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -298,38 +298,20 @@ def load_dataset(path) -> Dataset:
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
     return {
-        "num_domains": spec.num_domains,
-        "num_classes": spec.num_classes,
-        "input_dim": spec.input_dim,
-        "profiles": [
-            {
-                "kind": p.kind,
-                "max_count": p.max_count,
-                "imbalance_ratio": p.imbalance_ratio,
-            }
-            for p in spec.profiles
-        ],
-        "domain_shift": [
-            {"rotation": s.rotation, "translation": list(s.translation)}
-            for s in spec.domain_shift
-        ],
-        "class_separation": spec.class_separation,
-        "noise_std": spec.noise_std,
+        **asdict(spec),
+        "profiles": [asdict(p) for p in spec.profiles],
+        "domain_shift": [{**asdict(s), "translation": list(s.translation)}
+                         for s in spec.domain_shift],
         "zero_pairs": sorted([list(k) for k in spec.zero_pairs]),
-        "test_per_pair": spec.test_per_pair,
-        "val_per_pair": spec.val_per_pair,
-        "seed": spec.seed,
     }
 
 
 def spec_from_dict(data: dict) -> DatasetSpec:
-    required = (
-        "num_domains", "num_classes", "input_dim", "profiles", "domain_shift",
-        "class_separation", "noise_std", "test_per_pair", "val_per_pair", "seed",
-    )
-    for key in required:
-        if key not in data:
-            raise ValidationError(f"dataset spec is missing field {key!r}")
+    if not isinstance(data, dict):
+        raise ValidationError("dataset spec must be a JSON object")
+    for f in fields(DatasetSpec):
+        if f.name not in data and f.name != "zero_pairs":
+            raise ValidationError(f"dataset spec is missing field {f.name!r}")
     try:
         profiles = tuple(
             LabelProfile(
@@ -346,23 +328,25 @@ def spec_from_dict(data: dict) -> DatasetSpec:
             )
             for s in data["domain_shift"]
         )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed profile or domain_shift entry: {exc}")
-    return DatasetSpec(
-        num_domains=int(data["num_domains"]),
-        num_classes=int(data["num_classes"]),
-        input_dim=int(data["input_dim"]),
-        profiles=profiles,
-        domain_shift=shifts,
-        class_separation=float(data["class_separation"]),
-        noise_std=float(data["noise_std"]),
-        zero_pairs=frozenset(
-            (int(d), int(c)) for d, c in data.get("zero_pairs", [])
-        ),
-        test_per_pair=int(data["test_per_pair"]),
-        val_per_pair=int(data["val_per_pair"]),
-        seed=int(data["seed"]),
-    )
+        return DatasetSpec(
+            num_domains=int(data["num_domains"]),
+            num_classes=int(data["num_classes"]),
+            input_dim=int(data["input_dim"]),
+            profiles=profiles,
+            domain_shift=shifts,
+            class_separation=float(data["class_separation"]),
+            noise_std=float(data["noise_std"]),
+            zero_pairs=frozenset(
+                (int(d), int(c)) for d, c in data.get("zero_pairs", [])
+            ),
+            test_per_pair=int(data["test_per_pair"]),
+            val_per_pair=int(data["val_per_pair"]),
+            seed=int(data["seed"]),
+        )
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed dataset spec: {exc}")
 
 
 def save_spec(spec: DatasetSpec, path) -> None:

@@ -3,8 +3,6 @@ statistics-vs-accuracy correlation report."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -52,21 +50,19 @@ def accuracy_report(params: model.ModelParams, ds: Dataset,
         raise ValidationError("test split is empty")
     _, logits, _ = model.forward(params, ds.test.x)
     correct = logits.argmax(axis=1) == ds.test.label
+    grid = (ds.num_domains, ds.num_classes)
+    code = np.ravel_multi_index((ds.test.domain, ds.test.label), grid)
+    size = np.bincount(code, minlength=grid[0] * grid[1]).reshape(grid)
+    hits = np.bincount(code[correct], minlength=size.size).reshape(grid)
+    with np.errstate(invalid="ignore"):  # no test rows: NaN
+        pair_acc = hits / size * 100.0
+        domain_acc = hits.sum(axis=1) / size.sum(axis=1) * 100.0
 
-    per_pair, regions = {}, {}
-    for d in range(ds.num_domains):
-        for c in range(ds.num_classes):
-            mask = (ds.test.domain == d) & (ds.test.label == c)
-            if mask.any():
-                per_pair[(d, c)] = float(correct[mask].mean() * 100.0)
-            regions[(d, c)] = shot_region(ds.counts.get((d, c), 0),
-                                          many_min, few_max)
-
-    per_domain = {}
-    for d in range(ds.num_domains):
-        mask = ds.test.domain == d
-        per_domain[d] = float(correct[mask].mean() * 100.0)
-
+    per_pair = {(d, c): float(pair_acc[d, c])
+                for d, c in np.argwhere(size).tolist()}
+    regions = {(d, c): shot_region(ds.counts.get((d, c), 0), many_min, few_max)
+               for d in range(grid[0]) for c in range(grid[1])}
+    per_domain = {d: float(acc) for d, acc in enumerate(domain_acc)}
     region_acc = {}
     for name in ("many", "medium", "few", "zero"):
         vals = [per_pair[k] for k in per_pair if regions[k] == name]
@@ -169,15 +165,8 @@ def stats_accuracy_correlation(records) -> dict:
     if len(records) < 3:
         raise ValidationError("need at least 3 records")
 
-    def unpack(r):
-        if hasattr(r, "score"):
-            return float(r.score), float(r.accuracy)
-        score, acc = r
-        return float(score), float(acc)
-
-    pairs = [unpack(r) for r in records]
-    x = np.array([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
+    x = np.array([float(r.score) for r in records])
+    y = np.array([float(r.accuracy) for r in records])
     degenerate = bool(x.std() == 0 or y.std() == 0)
     if degenerate:
         return {"pearson": 0.0, "spearman": 0.0, "degenerate": True}
@@ -186,42 +175,3 @@ def stats_accuracy_correlation(records) -> dict:
         "spearman": _spearman(x, y),
         "degenerate": False,
     }
-
-
-# ---------------------------------------------------------------------------
-# Report files
-# ---------------------------------------------------------------------------
-
-def report_to_dict(report: AccuracyReport) -> dict:
-    return {
-        "per_domain": {str(d): v for d, v in report.per_domain.items()},
-        "average": report.average,
-        "worst": report.worst,
-        "many": report.many,
-        "medium": report.medium,
-        "few": report.few,
-        "zero": report.zero,
-        "per_pair": [
-            {
-                "domain": d,
-                "class": c,
-                "accuracy": acc,
-                "shot_region": report.shot_region[(d, c)],
-            }
-            for (d, c), acc in sorted(report.per_pair.items())
-        ],
-    }
-
-
-def save_report_json(report: AccuracyReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
-
-
-def save_per_pair_csv(report: AccuracyReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["domain", "class", "accuracy", "shot_region"])
-        for (d, c), acc in sorted(report.per_pair.items()):
-            writer.writerow([d, c, repr(acc), report.shot_region[(d, c)]])

@@ -64,8 +64,9 @@ class ModelParams:
 def init(input_dim: int, hidden, rep_dim: int, num_classes: int,
          seed: int) -> ModelParams:
     """Uniform ``+-sqrt(6 / (fan_in + fan_out))`` weights, zero biases."""
-    if input_dim < 1 or rep_dim < 1 or num_classes < 2:
-        raise ValidationError("invalid model dimensions")
+    if min(input_dim, rep_dim, *hidden) < 1 or num_classes < 2:
+        raise ValidationError("invalid model dimensions: input_dim, hidden "
+                              "and rep_dim must be >= 1, num_classes >= 2")
     rng = make_rng(seed, stream=7)
     params = ModelParams(input_dim, hidden, rep_dim, num_classes)
     for w in params.weights + [params.cls_w]:

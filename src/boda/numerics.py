@@ -84,7 +84,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     The Philox bit generator produces the same stream for the same
     ``(seed, stream)`` key on every platform; distinct streams are
-    statistically independent, so parallel workers can each own one.
+    statistically independent, so parallel workers can each own one. The
+    seed is taken modulo 2**64, so each seed in [-2**63, 2**63) has its own
+    key.
     """
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return np.random.Generator(np.random.Philox(key=[seed, int(stream)]))
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream)],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

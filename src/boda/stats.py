@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -159,33 +159,16 @@ def compute_stats(features_by_key: dict) -> StatsStore:
 
 def momentum_update(prev: StatsStore, current: StatsStore,
                     alpha_m: float) -> StatsStore:
-    """Blend two stores: ``alpha_m * prev + (1 - alpha_m) * current``.
-
-    Keys present only in ``current`` are inserted as-is; keys missing from
-    ``current`` keep their previous statistics. Counts always come from the
-    most recent store that has the key.
-    """
+    """Blend two stores of the same pairs: ``alpha_m * prev + (1 - alpha_m)
+    * current`` on ``mu`` and ``sigma``, with the counts of ``current``."""
     if not 0.0 <= alpha_m <= 1.0:
         raise ValidationError("alpha_m must be in [0, 1]")
-    dom = np.concatenate([prev.key_domain, current.key_domain])
-    cls = np.concatenate([prev.key_class, current.key_class])
-    _, order, bounds = pair_grouping(dom, cls)
-    # A key of the union groups two entries when both stores hold it; both
-    # list their keys in ascending order, so the shared ones line up.
-    sizes = np.diff(bounds)
-    row = np.empty_like(order)
-    row[order] = np.repeat(np.arange(len(sizes)), sizes)
-    row_p, row_c = np.split(row, [len(prev)])
-    in_p, in_c = sizes[row_p] == 2, sizes[row_c] == 2
-    merged = {}
-    for name in ("mu", "sigma", "counts"):
-        p, c = getattr(prev, name), getattr(current, name)
-        merged[name] = out = np.empty((len(sizes),) + c.shape[1:])
-        out[row_p], out[row_c] = p, c
-        if name != "counts":
-            out[row_c[in_c]] = alpha_m * p[in_p] + (1.0 - alpha_m) * c[in_c]
-    first = order[bounds[:-1]]
-    return StatsStore(dom[first], cls[first], **merged)
+    if prev.keys() != current.keys():
+        raise ValidationError("momentum needs two stores of the same pairs")
+    return StatsStore(current.key_domain, current.key_class,
+                      alpha_m * prev.mu + (1.0 - alpha_m) * current.mu,
+                      alpha_m * prev.sigma + (1.0 - alpha_m) * current.sigma,
+                      current.counts)
 
 
 @dataclass
@@ -249,8 +232,7 @@ def _graph_pass(z, domains, labels, nu=None, grouping=None):
     store = compute_stats(group_by_pair(z, domains, labels, grouping))
     dist = distances(z, store)
     graph = build_graph(store, dist, grouping)
-    counts = dict(zip(store.keys(), store.counts))
-    return store, dist, graph, transfer_stats(graph, nu=nu, counts=counts)
+    return store, dist, graph, transfer_stats(graph, nu, store.counts)
 
 
 @dataclass
@@ -276,7 +258,8 @@ def transfer_stats(graph: TransferabilityGraph, nu: Optional[float] = None,
     alpha averages same-class cross-domain edges, beta same-domain
     cross-class edges, gamma cross-domain cross-class edges; the diagonal is
     ignored. When ``nu`` is given, each edge is additionally weighted by
-    ``(N_dst / N_src) ** nu`` to produce the calibrated variants.
+    ``(N_dst / N_src) ** nu`` to produce the calibrated variants, with the
+    (K,) ``counts`` aligned with ``graph.keys``.
     """
     keys = graph.keys
     dom = np.array([k[0] for k in keys])
@@ -287,11 +270,9 @@ def transfer_stats(graph: TransferabilityGraph, nu: Optional[float] = None,
     if nu is not None:
         if not (math.isfinite(nu) and nu >= 0):
             raise ValidationError("nu must be finite and nonnegative")
-        if counts is None:
-            counts = {}
-        n = np.array(
-            [float(counts.get(k, 0)) for k in keys], dtype=np.float64
-        )
+        n = np.asarray(counts, dtype=np.float64)
+        if n.shape != (len(keys),):
+            raise ValidationError("need one count per pair of the graph")
         if np.any(n < 1):
             raise ValidationError("calibration needs a positive count per pair")
 
@@ -377,12 +358,4 @@ def save_stats(store: StatsStore, path) -> None:
 
 
 def transfer_stats_to_dict(ts: TransferStats) -> dict:
-    out = {"alpha": ts.alpha, "beta": ts.beta, "gamma": ts.gamma}
-    if ts.calibrated is not None:
-        out["calibrated"] = {
-            "nu": ts.calibrated.nu,
-            "alpha": ts.calibrated.alpha,
-            "beta": ts.calibrated.beta,
-            "gamma": ts.calibrated.gamma,
-        }
-    return out
+    return {k: v for k, v in asdict(ts).items() if v is not None}

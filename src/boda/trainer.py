@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -359,32 +359,33 @@ def sweep(ds: Dataset, base_cfg: TrainConfig, n_trials: int,
 # ---------------------------------------------------------------------------
 
 def config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "steps": cfg.steps,
-        "batch_per_domain": cfg.batch_per_domain,
-        "lr": cfg.lr,
-        "optimizer": cfg.optimizer,
-        "omega": cfg.omega,
-        "nu": cfg.nu,
-        "alpha_m": cfg.alpha_m,
-        "variant": cfg.variant,
-        "decouple": cfg.decouple,
-        "decouple_steps": cfg.decouple_steps,
-        "seed": cfg.seed,
-        "hidden": list(cfg.hidden),
-        "rep_dim": cfg.rep_dim,
-        "eval_every": cfg.eval_every,
-    }
+    return {**asdict(cfg), "hidden": list(cfg.hidden)}
+
+
+def _json_type_ok(value, kind) -> bool:
+    """Whether a JSON value fits a field of type ``kind``: a bool only where a
+    bool is expected, an int where a float is, a list of ints for a tuple."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_json_type_ok(v, int)
+                                               for v in value)
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
 
 
 def config_from_dict(data: dict) -> TrainConfig:
-    known = set(config_to_dict(TrainConfig()))
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ValidationError("config must be a JSON object")
+    kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+    for name, value in data.items():
+        if not _json_type_ok(value, kinds[name]):
+            raise ValidationError(
+                f"config field {name!r} has the wrong JSON type: {value!r}")
     if "hidden" in data:
-        data = dict(data)
-        data["hidden"] = tuple(int(v) for v in data["hidden"])
+        data = {**data, "hidden": tuple(data["hidden"])}
     return TrainConfig(**data)
 
 

@@ -234,8 +234,7 @@ def test_criterion_9_reductions_hold_exactly():
     groups = {k: np.repeat(v, 6, axis=0) for k, v in groups.items()}
     store = compute_stats(groups)
     graph = graph_of(store, groups)
-    counts = {k: store[k].count for k in store.keys()}
-    ts = transfer_stats(graph, nu=1.3, counts=counts)
+    ts = transfer_stats(graph, nu=1.3, counts=store.counts)
     assert ts.calibrated.alpha == ts.alpha
     assert ts.calibrated.beta == ts.beta
     assert ts.calibrated.gamma == ts.gamma

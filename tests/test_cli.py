@@ -75,6 +75,28 @@ class TestGen:
         assert code == 2
         assert "input_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda data: data["profiles"][0].update(max_count="a"),
+        lambda data: data.update(zero_pairs=[[0]]),
+    ], ids=["max_count", "zero_pairs"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, edit):
+        data = spec_to_dict(tiny_spec())
+        edit(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert cli.main(["gen", "--spec", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", ["null", "3"])
+    def test_not_an_object_exit_2(self, tmp_path, capsys, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert cli.main(["gen", "--spec", str(bad),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_outputs_exist(self, run_dir):
@@ -340,21 +362,25 @@ class TestParameterValidation:
         assert code == 2
         assert not out.exists()
 
+    # So is a value of the wrong JSON type or a layer width below 1; field
+    # None stands for a config document that is not an object.
     @pytest.mark.parametrize("field,value", [
         ("lr", float("nan")), ("lr", float("inf")), ("omega", float("nan")),
         ("omega", float("inf")), ("nu", float("nan")), ("nu", -3.0),
+        ("steps", "10"), ("steps", 1.5), ("hidden", "ab"), ("nu", "x"),
+        (None, None), ("hidden", [-3]), ("hidden", [8, 0]),
     ])
     def test_train_bad_config_exit_2(self, tmp_path, dataset_path, capsys,
                                      field, value):
         data = trainer.config_to_dict(TrainConfig(steps=40))
         data[field] = value
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(data))
+        cfg.write_text(json.dumps(data if field else value))
         out = tmp_path / "run"
         code = cli.main(["train", "--data", str(dataset_path),
                          "--config", str(cfg), "--out", str(out)])
         assert code == 2
-        assert field in capsys.readouterr().err
+        assert (field or "config") in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
     def test_calibrated_bound_past_exp_overflow(self, tmp_path):

@@ -148,31 +148,6 @@ class TestFeatureDiscrepancy:
         assert -1.0 <= corr <= 1.0
 
 
-class TestReportFiles:
-    def test_json_and_csv_exports(self, tmp_path, tiny_dataset):
-        import csv
-        import json
-
-        from boda.evaluation import save_per_pair_csv, save_report_json
-
-        ds = tiny_dataset
-        report = accuracy_report(identity_model(ds.input_dim, ds.num_classes),
-                                 ds)
-        json_path = tmp_path / "report.json"
-        csv_path = tmp_path / "per_pair.csv"
-        save_report_json(report, json_path)
-        save_per_pair_csv(report, csv_path)
-
-        data = json.loads(json_path.read_text())
-        assert data["average"] == report.average
-        assert len(data["per_pair"]) == ds.num_domains * ds.num_classes
-        with open(csv_path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == ds.num_domains * ds.num_classes
-        assert {r["shot_region"] for r in rows} \
-            <= {"many", "medium", "few", "zero"}
-
-
 class FakeRecord:
     def __init__(self, score, accuracy):
         self.score = score
@@ -200,7 +175,3 @@ class TestStatsAccuracyCorrelation:
     def test_too_few_records(self):
         with pytest.raises(ValidationError):
             stats_accuracy_correlation([FakeRecord(1, 2), FakeRecord(2, 3)])
-
-    def test_accepts_tuples(self):
-        out = stats_accuracy_correlation([(1.0, 5.0), (2.0, 7.0), (3.0, 6.0)])
-        assert -1.0 <= out["spearman"] <= 1.0

@@ -537,9 +537,9 @@ class TestVerifyBound:
         report = verify_bound(z, doms, labs, nu=0.7, calibrated=calibrated)
         groups = group_by_pair(z, doms, labs)
         store = compute_stats(groups)
-        counts = {k: store[k].count for k in store.keys()}
         ts = transfer_stats(graph_of(store, groups),
-                            nu=0.7 if calibrated else None, counts=counts)
+                            nu=0.7 if calibrated else None,
+                            counts=store.counts)
         assert report.stats == ts
 
     def test_incomplete_grid_rejected(self):

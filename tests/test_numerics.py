@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,16 @@ class TestRng:
         draws = make_rng(2024).standard_normal(100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.03
+
+    def test_negative_and_large_seeds_distinct(self):
+        # Every seed maps to its own 64-bit key, without a float cast.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [make_rng(s).random() for s in (-1, -2, 2**63, 2**63 + 5)]
+        assert len(set(draws)) == 4
+        for seed, stream in ((0, 0), (7, 11), (2**63 - 1, 3)):
+            expected = np.random.Generator(np.random.Philox(key=[seed, stream]))
+            assert make_rng(seed, stream).random() == expected.random()
 
     def test_known_stream_frozen(self):
         # Philox is platform-independent; freeze the head of one stream so a

@@ -43,19 +43,14 @@ def momentum_oracle(prev: StatsStore, current: StatsStore,
                     alpha_m: float) -> dict:
     """``alpha_m * prev + (1 - alpha_m) * current``, one key at a time."""
     out = {}
-    for key in sorted(set(prev.keys()) | set(current.keys())):
-        if key not in prev:
-            out[key] = current[key]
-        elif key not in current:
-            out[key] = prev[key]
-        else:
-            p, c = prev[key], current[key]
-            out[key] = FeatureStats(
-                key,
-                alpha_m * p.mu + (1.0 - alpha_m) * c.mu,
-                alpha_m * p.sigma + (1.0 - alpha_m) * c.sigma,
-                c.count,
-            )
+    for key in current.keys():
+        p, c = prev[key], current[key]
+        out[key] = FeatureStats(
+            key,
+            alpha_m * p.mu + (1.0 - alpha_m) * c.mu,
+            alpha_m * p.sigma + (1.0 - alpha_m) * c.sigma,
+            c.count,
+        )
     return out
 
 
@@ -165,12 +160,12 @@ class TestMomentumUpdate:
                               self._store([2.0, 2.0]), 0.5)
         np.testing.assert_array_equal(out[(0, 0)].mu, [1.0, 1.0])
 
-    def test_new_and_missing_keys(self):
-        prev = make_store([FeatureStats((0, 0), np.zeros(2), np.eye(2), 1)])
-        cur = make_store([FeatureStats((1, 0), np.ones(2), np.eye(2), 2)])
-        out = momentum_update(prev, cur, 0.9)
-        np.testing.assert_array_equal(out[(0, 0)].mu, np.zeros(2))
-        np.testing.assert_array_equal(out[(1, 0)].mu, np.ones(2))
+    def test_different_pairs_rejected(self):
+        a = FeatureStats((0, 0), np.zeros(2), np.eye(2), 1)
+        b = FeatureStats((1, 0), np.ones(2), np.eye(2), 2)
+        for prev, cur in (([a], [b]), ([a], [a, b]), ([a, b], [b])):
+            with pytest.raises(ValidationError, match="same pairs"):
+                momentum_update(make_store(prev), make_store(cur), 0.9)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -245,10 +240,9 @@ class TestArrayStatsMatchLoops:
         rng = make_rng(40 + seed)
         prev_groups = uneven_groups(rng)
         cur_groups = uneven_groups(rng)
-        # keys present only in prev, and only in current
-        prev_groups[(5, 0)] = rng.standard_normal((3, 4))
-        cur_groups[(5, 1)] = rng.standard_normal((2, 4))
-        cur_groups.pop((-1, 2))
+        shared = prev_groups.keys() & cur_groups.keys()
+        prev_groups = {k: prev_groups[k] for k in shared}
+        cur_groups = {k: cur_groups[k] for k in shared}
         prev, cur = compute_stats(prev_groups), compute_stats(cur_groups)
         out = momentum_update(prev, cur, alpha_m)
         assert_store_bit_equal(out, momentum_oracle(prev, cur, alpha_m))
@@ -363,7 +357,7 @@ def transfer_stats_oracle(graph, nu=None, counts=None):
             w = graph.weights[i, j]
             sums[bucket].append(w)
             if nu is not None:
-                ratio = counts[graph.keys[j]] / counts[graph.keys[i]]
+                ratio = counts[j] / counts[i]
                 cal[bucket].append(ratio ** nu * w)
     plain = [float(np.mean(sums[b])) for b in ("alpha", "beta", "gamma")]
     if nu is None:
@@ -413,7 +407,7 @@ class TestArrayPassesMatchLoops:
     def test_transfer_stats_plain_and_calibrated(self, uneven_grid):
         store, groups = uneven_grid
         graph = graph_of(store, groups)
-        counts = {k: store[k].count for k in store.keys()}
+        counts = store.counts
         ts = transfer_stats(graph, nu=1.3, counts=counts)
         plain, cal = transfer_stats_oracle(graph, nu=1.3, counts=counts)
         assert [ts.alpha, ts.beta, ts.gamma] == plain
@@ -454,7 +448,7 @@ class TestTransferStats:
 
     def test_equal_counts_calibrated_matches_plain(self):
         graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
-        counts = {k: 7 for k in graph.keys}
+        counts = np.full(len(graph.keys), 7)
         ts = transfer_stats(graph, nu=1.3, counts=counts)
         assert ts.calibrated.alpha == ts.alpha
         assert ts.calibrated.beta == ts.beta
@@ -465,8 +459,7 @@ class TestTransferStats:
         z, doms, labs, groups = random_features(rng, 3, 4, 3)
         store = compute_stats(groups)
         graph = graph_of(store, groups)
-        counts = {k: store[k].count for k in store.keys()}
-        ts = transfer_stats(graph, nu=0.0, counts=counts)
+        ts = transfer_stats(graph, nu=0.0, counts=store.counts)
         assert ts.calibrated.alpha == ts.alpha
         assert ts.calibrated.beta == ts.beta
         assert ts.calibrated.gamma == ts.gamma
