@@ -122,8 +122,9 @@ def cmd_analyze(args) -> int:
     if len(np.unique(ds.train.domain)) < 2:
         raise ValidationError("analysis needs at least 2 domains with data")
     z = trainer.encode_features(params, ds.train)
-    store, _, graph, ts = _graph_pass(z, ds.train.domain, ds.train.label,
-                                      nu=args.nu)
+    store, dist, graph, ts = _graph_pass(z, ds.train.domain, ds.train.label,
+                                         nu=args.nu)
+    del dist  # only the graph is needed: free the (N, K) array
     keys, coords = mds_2d(graph)
 
     os.makedirs(args.out, exist_ok=True)

@@ -37,7 +37,7 @@ class LabelProfile:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
         if self.max_count < 1:
             raise ValidationError("max_count must be positive")
-        if self.imbalance_ratio < 1.0:
+        if not self.imbalance_ratio >= 1.0:  # also rejects NaN
             raise ValidationError("imbalance_ratio must be >= 1")
 
 
@@ -75,8 +75,12 @@ class DatasetSpec:
         for shift in self.domain_shift:
             if len(shift.translation) != self.input_dim:
                 raise ValidationError("translation length must equal input_dim")
-        if self.class_separation <= 0 or self.noise_std <= 0:
-            raise ValidationError("class_separation and noise_std must be > 0")
+            if not all(map(math.isfinite, (shift.rotation, *shift.translation))):
+                raise ValidationError("domain shifts must be finite")
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.class_separation, self.noise_std)):
+            raise ValidationError(
+                "class_separation and noise_std must be finite and > 0")
         if self.test_per_pair < 1 or self.val_per_pair < 1:
             raise ValidationError("test_per_pair and val_per_pair must be >= 1")
         for d, c in self.zero_pairs:

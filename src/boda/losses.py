@@ -33,12 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import BLOCK_ELEMS
 from .stats import (
     StatsStore,
     TransferStats,
+    _distances,
     _graph_pass,
-    distances,
     pair_grouping,
 )
 
@@ -84,7 +83,7 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     pair) and ``dloss_ddist`` the derivative of each sample's loss with
     respect to each raw distance (zero for non-contributing samples).
     ``dist``, the batch's ``distances`` to ``store`` under the variant's
-    metric when already computed, is overwritten.
+    metric when already computed (for the loss alone), is overwritten.
     """
     if variant not in VARIANTS:
         raise ValidationError(f"unknown variant {variant!r}")
@@ -102,9 +101,10 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     src = store.index(domains, labels)
     if len(np.unique(store.key_domain)) < 2:
         raise ValidationError("alignment loss needs >= 2 domains with statistics")
-    mus, counts = store.mu, store.counts
+    counts = store.counts
+    y = None
     if dist is None:
-        dist = distances(z, store, metric)
+        dist, y = _distances(z, store, metric, want_grad)
 
     weights = (1.0 / counts[src])[:, None] if balanced else np.ones((n, 1))
     if calibrated:
@@ -143,15 +143,10 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     dl_ddist[~contributing] = 0.0
     dl_ddist *= weights
     coeff = dl_ddist / np.maximum(dist, _DIST_FLOOR, out=dist)
-    grad = np.zeros_like(z)
     if metric == "euclidean":
-        step = max(1, BLOCK_ELEMS // mus.size)
-        for r in range(0, n, step):
-            diff = z[r:r + step, None, :] - mus[None, :, :]
-            grad[r:r + step] = np.einsum("nk,nkh->nh", coeff[r:r + step], diff)
+        grad = z * coeff.sum(axis=1)[:, None] - coeff @ store.mu
     else:
-        for j, a in enumerate(store.inverses):
-            grad += coeff[:, j:j + 1] * ((z - mus[j]) @ a)
+        grad = (coeff[:, None, :] @ y.transpose(1, 0, 2))[:, 0]
     if reduction == "mean":
         grad /= n_contrib
     return result, grad, prob, dl_ddist

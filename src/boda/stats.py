@@ -182,8 +182,16 @@ class TransferabilityGraph:
 def distances(z, store: StatsStore, metric: str = "euclidean") -> np.ndarray:
     """(N, K) distances from each row of ``z`` to each centroid of ``store``,
     from exact differences ``z - mu`` (an expanded square would cancel near a
-    centroid): Euclidean in row blocks of about ``BLOCK_ELEMS``, Mahalanobis
-    one destination at a time under the store's cached shrunk inverses."""
+    centroid) in blocks of about ``BLOCK_ELEMS``: Euclidean by rows,
+    Mahalanobis by destinations, one batched product with the store's cached
+    shrunk inverses per block."""
+    return _distances(z, store, metric)[0]
+
+
+def _distances(z, store, metric, keep=False):
+    """``(dist, y)``: the ``distances`` and, for Mahalanobis when ``keep``,
+    the (K, N, h) products ``y[j] = (z - mu_j) @ store.inverses[j]`` that
+    the gradient reuses (else ``None``)."""
     if metric not in ("euclidean", "mahalanobis"):
         raise ValidationError(f"unknown metric {metric!r}")
     mus = store.mu
@@ -197,13 +205,17 @@ def distances(z, store: StatsStore, metric: str = "euclidean") -> np.ndarray:
             dist[r:r + step] = np.sqrt(
                 np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
             )
-    else:
-        for j, a in enumerate(store.inverses):
-            diff = z - mus[j]
-            dist[:, j] = np.sqrt(
-                np.maximum(np.einsum("nh,hk,nk->n", diff, a, diff), 0.0)
-            )
-    return dist
+        return dist, None
+    y = np.empty((len(mus),) + z.shape) if keep else None
+    step = max(1, BLOCK_ELEMS // max(z.size, 1))
+    for b in range(0, len(mus), step):
+        diff = z[None] - mus[b:b + step, None]
+        prod = np.matmul(diff, store.inverses[b:b + step],
+                         out=None if y is None else y[b:b + step])
+        dist[:, b:b + step] = np.sqrt(
+            np.maximum(np.einsum("knh,knh->kn", diff, prod), 0.0)
+        ).T
+    return dist, y
 
 
 def build_graph(store: StatsStore, dist, grouping) -> TransferabilityGraph:

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from boda import cli, model, trainer
+from boda import cli, model, stats, trainer
 from boda.datagen import load_dataset, save_spec, spec_to_dict
 from boda.trainer import TrainConfig
 
@@ -78,7 +83,14 @@ class TestGen:
     @pytest.mark.parametrize("edit", [
         lambda data: data["profiles"][0].update(max_count="a"),
         lambda data: data.update(zero_pairs=[[0]]),
-    ], ids=["max_count", "zero_pairs"])
+        lambda data: data.update(noise_std=float("nan")),
+        lambda data: data.update(class_separation=float("inf")),
+        lambda data: data["domain_shift"][1].update(rotation=float("nan")),
+        lambda data: data["domain_shift"][1]["translation"].__setitem__(
+            0, float("inf")),
+        lambda data: data["profiles"][0].update(imbalance_ratio=float("nan")),
+    ], ids=["max_count", "zero_pairs", "nan_noise", "inf_separation",
+            "nan_rotation", "inf_translation", "nan_imbalance"])
     def test_bad_value_exit_2(self, tmp_path, capsys, edit):
         data = spec_to_dict(tiny_spec())
         edit(data)
@@ -160,6 +172,30 @@ class TestAnalyze:
         with open(out / "mds.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == n_pairs
+
+    def test_distances_freed_before_mds(self, tmp_path, dataset_path,
+                                        run_dir, monkeypatch):
+        """``analyze`` needs only the graph, so the (N, K) distance array is
+        released before MDS and the writers run."""
+        refs, alive = [], []
+        original, mds_2d = stats.distances, cli.mds_2d
+
+        def recording(*args, **kwargs):
+            dist = original(*args, **kwargs)
+            refs.append(weakref.ref(dist))
+            return dist
+
+        def checking(graph):
+            alive.extend(ref() is not None for ref in refs)
+            return mds_2d(graph)
+
+        monkeypatch.setattr(stats, "distances", recording)
+        monkeypatch.setattr(cli, "mds_2d", checking)
+        assert cli.main(["analyze",
+                         "--checkpoint", str(run_dir / "checkpoint.json"),
+                         "--data", str(dataset_path),
+                         "--out", str(tmp_path / "analysis")]) == 0
+        assert alive == [False]
 
     def test_graph_dimension_excludes_zero_pairs(self, tmp_path):
         import dataclasses
@@ -495,3 +531,55 @@ class TestSweep:
                          "--out", str(seq), "--seed", "4"]) == 0
         assert (out / "trials.csv").read_bytes() == \
             (seq / "trials.csv").read_bytes()
+
+
+class TestThreadCountDeterminism:
+    """Every output of ``train`` and ``analyze`` is the same bytes whether
+    BLAS runs on one thread or two."""
+
+    # Runs each argv of a JSON list in turn; exits 1 at the first failure.
+    SCRIPT = ("import json, sys\nfrom boda import cli\n"
+              "sys.exit(any(cli.main(a) for a in json.loads(sys.argv[1])))")
+
+    def test_one_and_two_blas_threads_byte_identical(self, tmp_path,
+                                                     spec_path):
+        cfg = write_config(tmp_path, steps=30, variant="boda_m", omega=0.1)
+        commands = [
+            ["gen", "--spec", str(spec_path), "--out", "data.csv"],
+            ["train", "--data", "data.csv", "--config", str(cfg),
+             "--out", "run"],
+            ["analyze", "--data", "data.csv", "--checkpoint",
+             "run/checkpoint.json", "--out", "analysis"],
+        ]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                               if p)
+        procs = {}
+        for threads in ("1", "2"):
+            cwd = tmp_path / f"threads{threads}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                cwd=cwd, env=env, stderr=subprocess.PIPE, text=True)
+        for proc in procs.values():
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+
+        def outputs(root):
+            files = {}
+            for path in sorted(root.rglob("*")):
+                if path.is_file():
+                    data = path.read_bytes()
+                    if path.name.endswith("manifest.json"):
+                        data = json.loads(data)
+                        del data["duration_seconds"]
+                    files[str(path.relative_to(root))] = data
+            return files
+
+        one, two = outputs(tmp_path / "threads1"), outputs(tmp_path / "threads2")
+        assert len(one) == 10
+        assert one.keys() == two.keys()
+        differing = [name for name in one if one[name] != two[name]]
+        assert not differing

@@ -22,6 +22,7 @@ from boda.stats import (
     TransferStats,
     CalibratedStats,
     compute_stats,
+    distances,
     group_by_pair,
     transfer_stats,
 )
@@ -397,20 +398,73 @@ class TestGradients:
 
 
 class TestBlockedDistances:
-    # One sample row per block must reproduce the single-block result
-    # bit for bit: blocking splits rows, not the arithmetic of a row.
-    @pytest.mark.parametrize("variant", ["da", "boda", "calibrated_boda"])
+    # One block per sample row (Euclidean) or per destination (Mahalanobis)
+    # must reproduce the single-block result bit for bit: blocking splits
+    # rows or destinations, not the arithmetic of one distance.
+    @pytest.mark.parametrize("variant",
+                             ["da", "boda", "calibrated_boda", "boda_m"])
     def test_row_blocks_bitwise_equal(self, variant, monkeypatch):
         z, doms, labs, groups = random_features(make_rng(31), 3, 4, 5,
                                                 max_count=20)
         store = compute_stats(groups)
         whole, grad = alignment_grad(variant, z, doms, labs, store)
-        monkeypatch.setattr(losses, "BLOCK_ELEMS", 1)
+        monkeypatch.setattr("boda.stats.BLOCK_ELEMS", 1)
         blocked, grad_b = alignment_grad(variant, z, doms, labs, store)
         loss_b = alignment_loss(variant, z, doms, labs, store)
         assert blocked.value == whole.value == loss_b.value
         np.testing.assert_array_equal(blocked.per_sample, whole.per_sample)
         np.testing.assert_array_equal(grad_b, grad)
+
+
+def grad_oracle(variant, z, doms, labs, store, nu, reduction):
+    """The z-gradient summed one destination at a time: ``coeff_j (z -
+    mu_j)`` (Euclidean) or ``coeff_j (z - mu_j) A_j`` (Mahalanobis), with
+    ``coeff = dloss/ddist / dist`` from the library's softmin."""
+    result, _, _, dl_ddist = losses._align(variant, z, doms, labs, store, nu,
+                                           reduction, True)
+    metric = losses.VARIANTS[variant][2]
+    coeff = dl_ddist / np.maximum(distances(z, store, metric), 1e-12)
+    if metric == "euclidean":
+        grad = np.einsum("nk,nkh->nh", coeff, z[:, None, :] - store.mu[None])
+    else:
+        grad = np.zeros_like(z)
+        for j, a in enumerate(store.inverses):
+            grad += coeff[:, j:j + 1] * ((z - store.mu[j]) @ a)
+    if reduction == "mean":
+        grad /= max(int(result.contributing.sum()), 1)
+    return grad
+
+
+class TestGradientOracles:
+    """The batched gradients equal the per-destination forms."""
+
+    @staticmethod
+    def uneven_batch(seed):
+        """3 x 4 grid with one pair missing and two singleton pairs."""
+        _, _, _, groups = random_features(make_rng(seed), 3, 4, 5,
+                                          max_count=12)
+        del groups[(2, 3)]
+        groups[(0, 1)] = groups[(0, 1)][:1]
+        groups[(1, 2)] = groups[(1, 2)][:1]
+        keys = sorted(groups)
+        sizes = [len(groups[k]) for k in keys]
+        z = np.vstack([groups[k] for k in keys])
+        return (z, np.repeat([k[0] for k in keys], sizes),
+                np.repeat([k[1] for k in keys], sizes), compute_stats(groups))
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("variant", list(losses.VARIANTS))
+    @pytest.mark.parametrize("rows", [None, 1], ids=["batch", "one_row"])
+    def test_matches_per_destination_forms(self, variant, reduction, rows):
+        for seed in (40, 41):
+            z, doms, labs, store = self.uneven_batch(seed)
+            z, doms, labs = z[:rows], doms[:rows], labs[:rows]
+            _, grad = alignment_grad(variant, z, doms, labs, store, nu=1.3,
+                                     reduction=reduction)
+            want = grad_oracle(variant, z, doms, labs, store, 1.3, reduction)
+            assert np.abs(want).max() > 0
+            np.testing.assert_allclose(grad, want, rtol=0.0,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 class TestCeLoss:
