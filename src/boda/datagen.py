@@ -22,6 +22,7 @@ from .errors import ValidationError
 from .numerics import make_rng
 
 PROFILE_KINDS = ("uniform", "forward_lt", "backward_lt")
+MAX_GRID_PAIRS = 100_000  # CSV domain x class grid cap; DomainNet-MLT: 2,070
 
 
 @dataclass(frozen=True)
@@ -256,6 +257,7 @@ def load_dataset(path) -> Dataset:
         if header is None or header[:3] != ["split", "domain", "class"]:
             raise ValidationError("unexpected dataset CSV header")
         dim = len(header) - 3
+        top_d = top_c = 0
         try:
             for row in reader:
                 if len(row) != len(header):
@@ -264,9 +266,12 @@ def load_dataset(path) -> Dataset:
                 split, d, c = row[0], int(row[1]), int(row[2])
                 if split not in rows:
                     raise ValidationError(f"unknown split {split!r}")
-                if d < 0 or c < 0:
-                    raise ValidationError(f"dataset line {reader.line_num} "
-                                          f"has a negative id ({d},{c})")
+                top_d = d + 1 if d >= top_d else top_d
+                top_c = c + 1 if c >= top_c else top_c
+                if d < 0 or c < 0 or top_d * top_c > MAX_GRID_PAIRS:
+                    raise ValidationError(
+                        f"dataset line {reader.line_num} has id ({d},{c}): "
+                        f"ids must be >= 0 and span <= {MAX_GRID_PAIRS} pairs")
                 rows[split].append((d, c, [float(v) for v in row[3:]],
                                     reader.line_num))
         except (ValueError, IndexError) as exc:
@@ -275,13 +280,10 @@ def load_dataset(path) -> Dataset:
             raise ValidationError(f"malformed dataset row: {exc}")
 
     def to_split(items):
-        if not items:
-            return Split(
-                np.zeros((0, dim)), np.zeros(0, np.int64), np.zeros(0, np.int64)
-            )
         ds_ = np.array([it[0] for it in items], dtype=np.int64)
         cs_ = np.array([it[1] for it in items], dtype=np.int64)
-        xs_ = np.array([it[2] for it in items], dtype=np.float64)
+        xs_ = np.array([it[2] for it in items],
+                       dtype=np.float64).reshape(len(items), dim)
         bad = np.flatnonzero(~np.isfinite(xs_).all(axis=1))
         if bad.size:
             raise ValidationError(f"dataset line {items[bad[0]][3]} has a "

@@ -62,6 +62,21 @@ def random_instance(rng: np.random.Generator):
     return store, z, (d_i, c_i)
 
 
+def batched_gradients(variant, store, z, key, h: float = 1e-5):
+    """``(analytic, numeric)`` z-gradients of one sample's loss from one
+    kernel call: row 0 of the batch is ``z``, rows ``2i + 1`` and ``2i + 2``
+    set coordinate i to ``z[i] + h`` and ``z[i] - h`` as ``central_difference``
+    does. Each key of a ``random_instance`` grid has a positive pair."""
+    zs = np.tile(z, (2 * z.size + 1, 1))
+    zs[1::2][np.diag_indices(z.size)] = z + h
+    zs[2::2][np.diag_indices(z.size)] = z - h
+    result, grad = losses.alignment_grad(
+        variant, zs, np.full(len(zs), key[0]), np.full(len(zs), key[1]),
+        store, reduction="sum")
+    loss = result.per_sample
+    return grad[0], (loss[1::2] - loss[2::2]) / (2.0 * h)
+
+
 def run_gradcheck(seed: int, n_instances: int, h: float = 1e-5) -> dict:
     """Max relative error of analytic vs numeric z-gradients per variant."""
     if n_instances < 1:
@@ -71,16 +86,6 @@ def run_gradcheck(seed: int, n_instances: int, h: float = 1e-5) -> dict:
     for _ in range(n_instances):
         store, z, key = random_instance(rng)
         for variant in losses.VARIANTS:
-            _, grad = losses.alignment_grad(
-                variant, z, [key[0]], [key[1]], store, reduction="sum"
-            )
-            analytic = grad[0]
-            numeric = central_difference(
-                lambda zz: losses.alignment_loss(
-                    variant, zz, [key[0]], [key[1]], store, reduction="sum"
-                ).value,
-                z, h,
-            )
-            err = relative_error(analytic, numeric)
+            err = relative_error(*batched_gradients(variant, store, z, key, h))
             worst[variant] = max(worst[variant], err)
     return worst

@@ -17,22 +17,19 @@ from .errors import ValidationError
 BLOCK_ELEMS = 1 << 20
 
 
-def _as_square_float(m) -> np.ndarray:
+def check_symmetric(m, tol: float = 1e-8) -> np.ndarray:
+    """Validate a finite matrix, or each of a (..., n, n) stack, as
+    symmetric within ``tol`` and return it symmetrized."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix contains non-finite entries")
-    return m
-
-
-def check_symmetric(m, tol: float = 1e-8) -> np.ndarray:
-    """Validate symmetry within ``tol`` and return the symmetrized matrix."""
-    m = _as_square_float(m)
-    scale = 1.0 + float(np.abs(m).max(initial=0.0))
-    if float(np.abs(m - m.T).max(initial=0.0)) > tol * scale:
+    mt = np.swapaxes(m, -1, -2)
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if np.any(np.abs(m - mt).max(axis=(-2, -1), initial=0.0) > tol * scale):
         raise ValidationError("matrix is not symmetric within tolerance")
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + mt)
 
 
 def sym_eig(m, tol: float = 1e-8):
@@ -54,7 +51,10 @@ def sym_eig(m, tol: float = 1e-8):
         signed so that its largest-magnitude entry (the first, on ties) is
         positive, which makes the decomposition deterministic.
     """
-    evals, evecs = np.linalg.eigh(check_symmetric(m, tol))
+    m = check_symmetric(m, tol)
+    if m.ndim != 2:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    evals, evecs = np.linalg.eigh(m)
     order = np.argsort(-evals, kind="stable")
     evals, evecs = evals[order], evecs[:, order]
     lead = evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])]
@@ -63,20 +63,22 @@ def sym_eig(m, tol: float = 1e-8):
 
 
 def inverse_shrunk(sigma, eps_rel: float = 1e-3) -> np.ndarray:
-    """Inverse of a covariance after diagonal shrinkage.
+    """Inverse of a covariance, or of each of a (..., h, h) stack (with
+    the bits of its own call), after diagonal shrinkage.
 
     Returns ``(sigma + eps * I)^-1`` with ``eps = eps_rel * trace / dim
-    + 1e-9``, which is symmetric positive definite even for rank-deficient
-    input (minority pairs often have fewer samples than dimensions).
+    + 1e-9`` per matrix, which is symmetric positive definite even for
+    rank-deficient input (minority pairs often have fewer samples than
+    dimensions).
     """
     sigma = check_symmetric(sigma, 1e-8)
     if eps_rel < 0:
         raise ValidationError("eps_rel must be nonnegative")
-    dim = sigma.shape[0]
-    eps = eps_rel * float(np.trace(sigma)) / dim + 1e-9
-    shrunk = sigma + eps * np.eye(dim)
+    dim = sigma.shape[-1]
+    eps = eps_rel * np.trace(sigma, axis1=-2, axis2=-1) / dim + 1e-9
+    shrunk = sigma + np.multiply.outer(eps, np.eye(dim))
     inv = np.linalg.inv(shrunk)
-    return 0.5 * (inv + inv.T)
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

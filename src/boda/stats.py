@@ -86,10 +86,11 @@ class StatsStore:
 
     @cached_property
     def inverses(self) -> np.ndarray:
-        """``inverse_shrunk`` of each ``sigma`` (K, h, h), on first use."""
-        out = np.array([inverse_shrunk(s) for s in self.sigma])
+        """``inverse_shrunk`` of the (K, h, h) ``sigma`` stack, in one call
+        on first use."""
+        out = inverse_shrunk(self.sigma)
         out.flags.writeable = False
-        return out.reshape(self.sigma.shape)
+        return out
 
     def __contains__(self, key):
         return tuple(key) in self._row
@@ -346,8 +347,8 @@ def load_graph(path) -> TransferabilityGraph:
     with open(path) as fh:
         data = json.load(fh)
     keys = [(int(d), int(c)) for d, c in data["keys"]]
-    k_count = len(keys)
-    weights = np.array(data["weights"], dtype=np.float64).reshape(k_count, k_count)
+    weights = np.array(data["weights"],
+                       dtype=np.float64).reshape(len(keys), len(keys))
     return TransferabilityGraph(keys, weights)
 
 

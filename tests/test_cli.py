@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boda import cli, model, stats, trainer
+from boda import cli, losses, model, stats, trainer
 from boda.datagen import load_dataset, save_spec, spec_to_dict
 from boda.trainer import TrainConfig
 
@@ -285,7 +285,9 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("edit", ["drop_column", "extra_column",
                                       "negative_domain", "negative_class",
-                                      "nan_feature", "inf_feature"])
+                                      "nan_feature", "inf_feature",
+                                      "int64_overflow_class", "huge_class",
+                                      "grid_over_cap"])
     def test_dataset_row_exit_2(self, tmp_path, dataset_path, run_dir,
                                 capsys, edit):
         lines = dataset_path.read_text().splitlines()
@@ -298,6 +300,12 @@ class TestMalformedInputs:
             fields[1] = "-1"
         elif edit == "negative_class":
             fields[2] = "-2"
+        elif edit == "int64_overflow_class":
+            fields[2] = "99999999999999999999"
+        elif edit == "huge_class":  # a dense grid would need 44.7 GiB
+            fields[2] = "3000000000"
+        elif edit == "grid_over_cap":  # each id alone is below the cap
+            fields[1], fields[2] = "60000", "1"
         else:
             fields[3] = "nan" if edit == "nan_feature" else "-inf"
         lines[5] = ",".join(fields)
@@ -485,6 +493,19 @@ class TestGradcheck:
         code = cli.main(["gradcheck", "--seed", "1", "--trials", "0",
                          "--out", str(tmp_path / "g.json")])
         assert code == 2
+
+    def test_wrong_gradient_exit_3(self, tmp_path, monkeypatch, capsys):
+        real = losses.alignment_grad
+
+        def scaled(*args, **kwargs):
+            result, grad = real(*args, **kwargs)
+            return result, 1.01 * grad
+
+        monkeypatch.setattr(losses, "alignment_grad", scaled)
+        code = cli.main(["gradcheck", "--seed", "5", "--trials", "3",
+                         "--out", str(tmp_path / "g.json")])
+        assert code == 3
+        assert "gradient check failed" in capsys.readouterr().err
 
     def test_fixed_seed_identical_report(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

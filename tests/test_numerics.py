@@ -114,6 +114,31 @@ class TestInverseShrunk:
         with pytest.raises(ValidationError):
             inverse_shrunk(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("k", [1, 6, 260])
+    @pytest.mark.parametrize("h", [2, 8, 16])
+    def test_stack_equals_per_matrix_calls(self, k, h):
+        rng = np.random.default_rng(100 * k + h)
+        b = rng.normal(size=(k, h, max(h // 2, 1)))
+        sigma = b @ b.transpose(0, 2, 1) * rng.uniform(1e-3, 1e3, (k, 1, 1))
+        stacked = inverse_shrunk(sigma)
+        assert stacked.shape == (k, h, h)
+        assert np.array_equal(stacked,
+                              np.array([inverse_shrunk(s) for s in sigma]))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "asymmetric"])
+    def test_stack_with_one_bad_matrix_rejected(self, bad):
+        sigma = np.tile(np.eye(3), (6, 1, 1))
+        if bad == "asymmetric":
+            sigma[4, 0, 1] = 0.5
+        else:
+            sigma[4, 2, 2] = float(bad)
+        with pytest.raises(ValidationError):
+            inverse_shrunk(sigma)
+
+    def test_sym_eig_rejects_a_stack(self):
+        with pytest.raises(ValidationError):
+            sym_eig(np.tile(np.eye(3), (2, 1, 1)))
+
 
 def next_gaussian(rng):
     return float(rng.standard_normal())
