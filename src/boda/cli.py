@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__, evaluation, gradcheck, losses, model, trainer
 from .datagen import generate, load_dataset, load_spec, save_dataset, spec_to_dict
 from .errors import NumericalError, ValidationError
+from .fileio import atomic_open
 from .stats import (
     _graph_pass,
     mds_2d,
@@ -35,11 +36,9 @@ EXIT_NUMERICAL = 3
 
 
 def _write_json_atomic(payload: dict, path: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _write_manifest(command: str, config: dict, inputs: dict, outputs: list,

@@ -19,10 +19,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import atomic_open
 from .numerics import make_rng
 
 PROFILE_KINDS = ("uniform", "forward_lt", "backward_lt")
 MAX_GRID_PAIRS = 100_000  # CSV domain x class grid cap; DomainNet-MLT: 2,070
+_SPLITS = ("train", "val", "test")
 
 
 @dataclass(frozen=True)
@@ -236,21 +238,78 @@ def label_divergence(ds: Dataset) -> dict:
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write the dataset as CSV: ``split,domain,class,x0,...,x{l-1}``."""
+    """Write the dataset as CSV, ``split,domain,class,x0,...,x{l-1}`` with
+    ``\\r\\n`` line ends and ``repr`` floats, atomically."""
     dim = ds.input_dim
     header = ["split", "domain", "class"] + [f"x{i}" for i in range(dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for name, split in (("train", ds.train), ("val", ds.val), ("test", ds.test)):
-            for i in range(len(split)):
-                row = [name, int(split.domain[i]), int(split.label[i])]
-                row += [repr(float(v)) for v in split.x[i]]
-                writer.writerow(row)
+    sep = "," if dim else ""
+    with atomic_open(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for name, split in zip(_SPLITS, (ds.train, ds.val, ds.test)):
+            for d, c, x in zip(split.domain.tolist(), split.label.tolist(),
+                               split.x.tolist()):
+                fh.write(f"{name},{d},{c}{sep}{','.join(map(repr, x))}\r\n")
 
 
 def load_dataset(path) -> Dataset:
-    rows = {"train": [], "val": [], "test": []}
+    """Read a dataset CSV. One ``np.loadtxt`` pass parses a file that passes
+    bulk checks (known splits, ids >= 0, ``MAX_GRID_PAIRS``, finite features,
+    one row per line); any other file goes to the row-by-row ``_load_rows``,
+    which accepts it (quoted fields, ``1_0``) or raises a ``ValidationError``
+    naming its line. Both give the same arrays, or error, for every file."""
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:  # _load_rows then raises its own error for it
+        text = ""
+    (train, val, test), dim = _parse_rows(text) or _load_rows(path)
+    all_d = np.concatenate([train.domain, val.domain, test.domain])
+    all_c = np.concatenate([train.label, val.label, test.label])
+    num_domains = int(all_d.max()) + 1 if all_d.size else 0
+    num_classes = int(all_c.max()) + 1 if all_c.size else 0
+    per_pair = np.bincount(train.domain * num_classes + train.label,
+                           minlength=num_domains * num_classes).tolist()
+    counts = {(d, c): per_pair[d * num_classes + c]
+              for d in range(num_domains) for c in range(num_classes)}
+    return Dataset(train, val, test, counts, num_domains, num_classes, dim)
+
+
+def _parse_rows(text):
+    """``load_dataset``'s one-pass parse: ``((train, val, test), dim)``, or
+    None where only ``_load_rows`` can decide."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0].removesuffix("\r").split(",") if lines else []
+    dim = len(header) - 3
+    # csv unquotes fields and ends a line at a lone CR, and numpy drops a
+    # split name's trailing NULs; loadtxt skips blank lines (the row count
+    # below sees those) and warns on no rows, which a non-blank last line
+    # rules out.
+    if dim < 1 or len(lines) < 2 or lines[-1] in ("", "\r") \
+            or header[:3] != ["split", "domain", "class"] \
+            or '"' in text or "\0" in text or "\r" in lines[0][:-1]:
+        return None
+    try:
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                          dtype=[("split", "U6"), ("domain", "i8"),
+                                 ("class", "i8"), ("x", "f8", (dim,))])
+    except ValueError:
+        return None
+    split, d, c, x = rows["split"], rows["domain"], rows["class"], rows["x"]
+    masks = [split == name for name in _SPLITS]  # a longer name is cut to 6
+    if len(rows) != len(lines) - 1 or not np.any(masks, axis=0).all() \
+            or d.min() < 0 or c.min() < 0 \
+            or (int(d.max()) + 1) * (int(c.max()) + 1) > MAX_GRID_PAIRS \
+            or not np.isfinite(x).all():
+        return None
+    return [Split(x[m], d[m], c[m]) for m in masks], dim
+
+
+def _load_rows(path):
+    """The row-by-row reader: ``((train, val, test), dim)``, or a
+    ``ValidationError`` naming the first bad CSV line."""
+    rows = {name: [] for name in _SPLITS}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -290,16 +349,7 @@ def load_dataset(path) -> Dataset:
                                   "non-finite feature")
         return Split(xs_, ds_, cs_)
 
-    train, val, test = (to_split(rows[k]) for k in ("train", "val", "test"))
-    all_d = np.concatenate([train.domain, val.domain, test.domain])
-    all_c = np.concatenate([train.label, val.label, test.label])
-    num_domains = int(all_d.max()) + 1 if all_d.size else 0
-    num_classes = int(all_c.max()) + 1 if all_c.size else 0
-    per_pair = np.bincount(train.domain * num_classes + train.label,
-                           minlength=num_domains * num_classes).tolist()
-    counts = {(d, c): per_pair[d * num_classes + c]
-              for d in range(num_domains) for c in range(num_classes)}
-    return Dataset(train, val, test, counts, num_domains, num_classes, dim)
+    return [to_split(rows[k]) for k in _SPLITS], dim
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:

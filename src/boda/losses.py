@@ -99,7 +99,7 @@ def _align(variant, z, domains, labels, store: StatsStore, nu, reduction,
     if domains.shape != (n,) or labels.shape != (n,):
         raise ValidationError("need one domain and one label per sample")
     src = store.index(domains, labels)
-    if len(np.unique(store.key_domain)) < 2:
+    if not store.multi_domain:
         raise ValidationError("alignment loss needs >= 2 domains with statistics")
     counts = store.counts
     y = None

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import atomic_open
 from .numerics import make_rng
 
 
@@ -165,10 +165,8 @@ def save_checkpoint(params: ModelParams, path, seed: int = 0,
         "seed": int(seed),
         "step": int(step),
     }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(json.dumps(payload) + "\n")
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -39,7 +39,8 @@ class StatsStore:
 
     ``key_domain`` / ``key_class`` (K,) hold the keys, domain-major; ``mu``
     (K, h), ``sigma`` (K, h, h) (population covariances) and ``counts`` (K,)
-    their statistics. Pairs without samples are absent. The arrays are
+    their statistics; ``multi_domain`` tells whether the keys span two
+    domains or more. Pairs without samples are absent. The arrays are
     read-only and a store never changes (``momentum_update`` makes a new
     one), so its shrunk inverses are computed once and cannot go stale.
     """
@@ -62,6 +63,7 @@ class StatsStore:
             + self.key_class - self._c0
         if np.any(np.diff(self.key_code) <= 0):
             raise ValidationError("store keys must be distinct and sorted")
+        self.multi_domain = bool(k and self.key_domain[0] != self.key_domain[-1])
         for a in (self.key_domain, self.key_class, self.mu, self.sigma,
                   self.counts, self.key_code):
             a.flags.writeable = False

@@ -309,12 +309,13 @@ def _run_trial(ds: Dataset, base_cfg: TrainConfig, trial: int, lr: float,
                width: int, trial_seed: int) -> TrialRecord:
     cfg = replace(base_cfg, lr=lr, hidden=(width, width),
                   seed=trial_seed, eval_every=base_cfg.steps)
-    params, _ = train(ds, cfg)
+    params, log = train(ds, cfg)
     report = evaluation.accuracy_report(params, ds)
-    alpha, beta, gamma, _ = _diagnostics(params, ds, cfg.nu)
+    last = log.rows[-1]  # eval_every = steps: the final parameters' diagnostics
     return TrialRecord(
         trial=trial, lr=lr, hidden=width, seed=trial_seed,
-        accuracy=report.average, alpha=alpha, beta=beta, gamma=gamma,
+        accuracy=report.average, alpha=last.alpha, beta=last.beta,
+        gamma=last.gamma,
     )
 
 

@@ -346,6 +346,16 @@ class TestVerifyBound:
         assert json.loads(out.read_text())["gap"] >= -1e-9
 
 
+def test_failed_json_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    cli._write_json_atomic({"a": 1}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # json.dump fails after writing a prefix
+        cli._write_json_atomic({"a": 2, "b": object()}, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 class TestFileErrors:
     # A path that cannot be read or written, or a file that is not text,
     # is an input error (exit 2, no traceback), found before any training.

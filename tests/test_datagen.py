@@ -1,9 +1,11 @@
+import csv
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from boda import datagen
 from boda.datagen import (
     DatasetSpec,
     DomainShift,
@@ -21,6 +23,39 @@ from boda.datagen import (
 from boda.errors import ValidationError
 
 from conftest import balanced_spec, divergent_spec, tiny_spec
+
+
+def csv_writer_save(ds, path):
+    """The ``csv.writer`` dataset writer that ``save_dataset`` replaced: the
+    byte oracle for the CSV format."""
+    header = ["split", "domain", "class"] + [f"x{i}" for i in range(ds.input_dim)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for name, split in (("train", ds.train), ("val", ds.val), ("test", ds.test)):
+            for i in range(len(split)):
+                row = [name, int(split.domain[i]), int(split.label[i])]
+                row += [repr(float(v)) for v in split.x[i]]
+                writer.writerow(row)
+
+
+def split_bits(splits):
+    """The splits' arrays as (dtype, shape, bytes), which tell -0.0 from 0.0
+    where ``assert_array_equal`` does not."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for split in splits
+            for a in (split.x, split.domain, split.label)]
+
+
+def dataset_bits(ds):
+    return (split_bits((ds.train, ds.val, ds.test)), ds.counts,
+            ds.num_domains, ds.num_classes, ds.input_dim)
+
+
+def with_extreme_features(ds):
+    """``ds`` with a signed zero, subnormal and huge features in train."""
+    x = ds.train.x.copy()
+    x[0, :4] = (-0.0, 1e-300, 5e-324, -1.7976931348623157e308)
+    return dataclasses.replace(ds, train=dataclasses.replace(ds.train, x=x))
 
 
 class TestProfileCounts:
@@ -115,12 +150,123 @@ class TestGenerate:
             )
 
     def test_roundtrip_csv(self, tmp_path, tiny_dataset):
-        path = tmp_path / "ds.csv"
-        save_dataset(tiny_dataset, path)
+        ds = with_extreme_features(tiny_dataset)
+        path, again = tmp_path / "ds.csv", tmp_path / "again.csv"
+        save_dataset(ds, path)
         loaded = load_dataset(path)
-        np.testing.assert_array_equal(loaded.train.x, tiny_dataset.train.x)
-        np.testing.assert_array_equal(loaded.test.label, tiny_dataset.test.label)
-        assert loaded.counts == tiny_dataset.counts
+        assert dataset_bits(loaded) == dataset_bits(ds)
+        save_dataset(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def _set(line, field, value):
+    """Edit: field ``field`` of CSV line ``line`` (0 is the header) becomes
+    ``value(old)``; rows end in CRLF as ``save_dataset`` writes them."""
+    def edit(lines):
+        fields = lines[line].split(",")
+        fields[field] = value(fields[field])
+        return "\r\n".join(lines[:line] + [",".join(fields)]
+                           + lines[line + 1:]) + "\r\n"
+    return edit
+
+
+def _crlf(lines):
+    return "\r\n".join(lines) + "\r\n"
+
+
+# name -> (edit of the saved CSV's lines, whether the one-pass parse takes it)
+CSV_EDITS = {
+    "crlf": (_crlf, True),
+    "lf": (lambda lines: "\n".join(lines) + "\n", True),
+    "no_final_newline": (lambda lines: "\r\n".join(lines), True),
+    "padded_id": (_set(3, 1, lambda v: f" {v} "), True),
+    "padded_feature": (_set(3, 4, lambda v: f"\t{v} "), True),
+    "plus_id": (_set(3, 2, lambda v: f"+{v}"), True),
+    "no_val_rows": (lambda lines: _crlf(
+        [line for line in lines if not line.startswith("val,")]), True),
+    "blank_line": (lambda lines: _crlf(lines[:4] + [""] + lines[4:]), False),
+    "blank_last_line": (lambda lines: _crlf(lines + [""]), False),
+    "only_blank_rows": (lambda lines: _crlf(lines[:1] + [""]), False),
+    "header_only": (lambda lines: _crlf(lines[:1]), False),
+    "quoted_train": (_set(3, 0, lambda v: f'"{v}"'), False),
+    "underscore_feature": (_set(3, 4, lambda v: "1_0"), False),
+    "underscore_id": (_set(3, 2, lambda v: "1_0"), False),
+    "padded_split": (_set(3, 0, lambda v: f" {v}"), False),
+    "float_id": (_set(3, 1, lambda v: "1.0"), False),
+    "plus_float_id": (_set(3, 2, lambda v: "+1.0"), False),
+    "train_xyz": (_set(3, 0, lambda v: "trainXYZ"), False),
+    "empty_split": (_set(3, 0, lambda v: ""), False),
+    "nul_in_split": (_set(3, 0, lambda v: "train\0"), False),
+    # csv reads one header field, a comma split two, matching the rows
+    "quoted_header_comma": (lambda lines: _crlf(
+        [lines[0].replace("x1", '"x1,y"')]
+        + [f"{line},0.5" for line in lines[1:]]), False),
+    "lone_cr_in_row": (_set(3, 4, lambda v: f"{v}\r{v}"), False),
+    "lone_cr_in_header": (_set(0, 4, lambda v: f"{v}\rx"), False),
+    # byte 0x80 past the first 8 KiB that reading the header decodes, so
+    # the row loop reports it
+    "not_utf8": (_set(200, 4, lambda v: "\udc80"), False),
+    "nan_feature": (_set(3, 5, lambda v: "nan"), False),
+    "negative_class": (_set(3, 2, lambda v: "-1"), False),
+    "grid_over_cap": (_set(3, 1, lambda v: "60000"), False),
+    "extra_column": (_set(3, 3, lambda v: f"{v},0.5"), False),
+}
+
+
+class TestDatasetCsv:
+    @pytest.mark.filterwarnings("error")  # e.g. loadtxt's "no data" warning
+    @pytest.mark.parametrize("case", sorted(CSV_EDITS))
+    def test_one_pass_parse_agrees_with_row_validator(
+            self, tmp_path, tiny_dataset, case):
+        edit, one_pass = CSV_EDITS[case]
+        path = tmp_path / "data.csv"
+        save_dataset(tiny_dataset, path)
+        text = edit(path.read_bytes().decode().split("\r\n")[:-1])
+        path.write_bytes(text.encode(errors="surrogateescape"))
+
+        def outcome(load):
+            try:
+                splits, dim = load(path)
+            except Exception as exc:  # the same error, message and all
+                return type(exc), str(exc)
+            return split_bits(splits), dim
+
+        def loaded(path):
+            ds = load_dataset(path)
+            return (ds.train, ds.val, ds.test), ds.input_dim
+
+        assert outcome(loaded) == outcome(datagen._load_rows)
+        assert (datagen._parse_rows(text) is not None) == one_pass
+
+    @pytest.mark.parametrize("spec", [tiny_spec(seed=3), divergent_spec(seed=3)],
+                             ids=["tiny", "readme"])
+    def test_save_matches_csv_writer_bytes(self, tmp_path, spec):
+        ds = with_extreme_features(generate(spec))
+        save_dataset(ds, tmp_path / "new.csv")
+        csv_writer_save(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()
+
+    def test_no_feature_columns_roundtrip(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"split,domain,class\r\ntrain,0,1\r\ntest,1,0\r\n")
+        ds = load_dataset(path)
+        assert ds.input_dim == 0 and ds.train.x.shape == (1, 0)
+        save_dataset(ds, tmp_path / "new.csv")
+        csv_writer_save(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == path.read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_dataset):
+        path = tmp_path / "data.csv"
+        save_dataset(tiny_dataset, path)
+        before = path.read_bytes()
+        # fails after the train and val rows are written
+        broken = dataclasses.replace(tiny_dataset, test=None)
+        with pytest.raises(AttributeError):
+            save_dataset(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
 
 
 class TestSpecJson:

@@ -157,6 +157,14 @@ class TestScalars:
         with pytest.raises(ValidationError, match=r"\(2, 0\)"):
             alignment_loss("da", z, [2], [0], store)
 
+    @pytest.mark.parametrize("variant", ["da", "boda", "boda_m"])
+    def test_one_domain_store_rejected(self, variant):
+        one = make_store([FeatureStats((3, c), np.zeros(2), np.eye(2), 2)
+                          for c in range(3)])
+        assert not one.multi_domain and square_store().multi_domain
+        with pytest.raises(ValidationError, match=">= 2 domains"):
+            alignment_grad(variant, np.zeros((1, 2)), [3], [1], one)
+
 
 def square_store(counts=(1, 1, 1, 1)):
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -276,6 +276,19 @@ class TestSweep:
         assert [(a.trial, a.lr, a.accuracy) for a in seq] == \
                [(b.trial, b.lr, b.accuracy) for b in par]
 
+    def test_one_diagnostics_pass_per_trial(self, tiny_dataset, monkeypatch):
+        calls, diagnostics = [], trainer._diagnostics
+        monkeypatch.setattr(trainer, "_diagnostics",
+                            lambda *args: calls.append(1) or diagnostics(*args))
+        records = sweep(tiny_dataset, fast_cfg(), 3, seed=5)
+        assert len(calls) == 3
+        # the logged statistics are those of the trial's final parameters
+        r = records[0]
+        params, _ = train(tiny_dataset, fast_cfg(
+            lr=r.lr, hidden=(r.hidden, r.hidden), seed=r.seed, eval_every=60))
+        assert (r.alpha, r.beta, r.gamma) \
+            == diagnostics(params, tiny_dataset, fast_cfg().nu)[:3]
+
     def test_zero_trials_rejected(self, tiny_dataset):
         with pytest.raises(ValidationError):
             sweep(tiny_dataset, fast_cfg(), 0)
