@@ -46,8 +46,7 @@ params, _ = train(ds, TrainConfig(steps=800, eval_every=800, seed=1,
 
 z = encode_features(params, ds.train)
 grouping = pair_grouping(ds.train.domain, ds.train.label)
-store = compute_stats(group_by_pair(z, ds.train.domain, ds.train.label,
-                                    grouping))
+store = compute_stats(group_by_pair(z, grouping), grouping)
 graph = build_graph(store, distances(z, store), grouping)
 print(f"\ntransferability matrix over {len(graph.keys)} pairs "
       f"(row = source, column = destination):")

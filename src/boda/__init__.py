@@ -26,7 +26,6 @@ from .errors import NumericalError, ValidationError
 from .evaluation import (
     AccuracyReport,
     accuracy_report,
-    feature_discrepancy,
     stats_accuracy_correlation,
 )
 from .losses import (
@@ -43,7 +42,6 @@ from .losses import (
 from .model import ModelParams, backward, forward, init
 from .numerics import inverse_shrunk, make_rng, sym_eig
 from .stats import (
-    FeatureStats,
     StatsStore,
     TransferabilityGraph,
     TransferStats,
@@ -57,15 +55,14 @@ from .trainer import TrainConfig, retrain_classifier, sweep, train
 
 __all__ = [
     "AccuracyReport", "BodaGradientDetail", "BoundReport", "Dataset",
-    "DatasetSpec", "DomainShift", "FeatureStats", "LabelProfile",
-    "ModelParams", "NumericalError", "StatsStore", "TrainConfig",
-    "TransferStats", "TransferabilityGraph", "ValidationError",
-    "accuracy_report", "alignment_grad", "alignment_loss", "backward",
-    "boda_grad", "build_graph", "compute_stats", "feature_discrepancy",
-    "forward", "generate", "init", "inverse_shrunk", "joint_loss",
-    "label_divergence", "load_dataset", "load_spec", "make_rng", "mds_2d",
-    "momentum_update", "profile_counts", "retrain_classifier", "save_dataset",
-    "save_spec", "stats_accuracy_correlation", "sweep", "sym_eig",
-    "theorem1_rhs", "theorem2_rhs", "train", "transfer_stats",
+    "DatasetSpec", "DomainShift", "LabelProfile", "ModelParams",
+    "NumericalError", "StatsStore", "TrainConfig", "TransferStats",
+    "TransferabilityGraph", "ValidationError", "accuracy_report",
+    "alignment_grad", "alignment_loss", "backward", "boda_grad", "build_graph",
+    "compute_stats", "forward", "generate", "init", "inverse_shrunk",
+    "joint_loss", "label_divergence", "load_dataset", "load_spec", "make_rng",
+    "mds_2d", "momentum_update", "profile_counts", "retrain_classifier",
+    "save_dataset", "save_spec", "stats_accuracy_correlation", "sweep",
+    "sym_eig", "theorem1_rhs", "theorem2_rhs", "train", "transfer_stats",
     "verify_bound",
 ]

@@ -20,10 +20,11 @@ import numpy as np
 from . import __version__, evaluation, gradcheck, losses, model, trainer
 from .datagen import generate, load_dataset, load_spec, save_dataset, spec_to_dict
 from .errors import NumericalError, ValidationError
-from .fileio import atomic_open
+from .fileio import write_json
 from .stats import (
     _graph_pass,
     mds_2d,
+    pair_grouping,
     save_graph,
     save_mds_csv,
     save_stats,
@@ -35,16 +36,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _write_json_atomic(payload: dict, path: str) -> None:
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_manifest(command: str, config: dict, inputs: dict, outputs: list,
                     seed, started: float, out_dir: str,
                     name: str = "manifest.json") -> None:
-    _write_json_atomic(
+    write_json(
         {
             "command": command,
             "config": config,
@@ -121,8 +116,8 @@ def cmd_analyze(args) -> int:
     if len(np.unique(ds.train.domain)) < 2:
         raise ValidationError("analysis needs at least 2 domains with data")
     z = trainer.encode_features(params, ds.train)
-    store, dist, graph, ts = _graph_pass(z, ds.train.domain, ds.train.label,
-                                         nu=args.nu)
+    store, dist, graph, ts = _graph_pass(
+        z, pair_grouping(ds.train.domain, ds.train.label), nu=args.nu)
     del dist  # only the graph is needed: free the (N, K) array
     keys, coords = mds_2d(graph)
 
@@ -132,7 +127,7 @@ def cmd_analyze(args) -> int:
     mds_path = os.path.join(args.out, "mds.csv")
     feats_path = os.path.join(args.out, "stats.json")
     save_graph(graph, graph_path)
-    _write_json_atomic(transfer_stats_to_dict(ts), stats_path)
+    write_json(transfer_stats_to_dict(ts), stats_path)
     save_mds_csv(keys, coords, mds_path)
     save_stats(store, feats_path)
     _write_manifest("analyze", {"nu": args.nu},
@@ -157,7 +152,7 @@ def cmd_verify_bound(args) -> int:
     }
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_json_atomic(payload, args.out)
+    write_json(payload, args.out)
     base = os.path.basename(args.out)
     _write_manifest("verify-bound",
                     {"nu": args.nu, "calibrated": args.calibrated},
@@ -177,7 +172,7 @@ def cmd_gradcheck(args) -> int:
     worst = gradcheck.run_gradcheck(args.seed, args.trials)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    _write_json_atomic(worst, args.out)
+    write_json(worst, args.out)
     base = os.path.basename(args.out)
     _write_manifest("gradcheck", {"trials": args.trials},
                     {}, [args.out], args.seed, started, out_dir,
@@ -201,7 +196,7 @@ def cmd_sweep(args) -> int:
     correlation = evaluation.stats_accuracy_correlation(records) \
         if len(records) >= 3 else {"pearson": 0.0, "spearman": 0.0,
                                    "degenerate": True}
-    _write_json_atomic(correlation, corr_path)
+    write_json(correlation, corr_path)
     _write_manifest("sweep",
                     {"base": trainer.config_to_dict(cfg),
                      "trials": args.trials},

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_open
+from .fileio import atomic_open, write_json
 from .numerics import make_rng
 
 PROFILE_KINDS = ("uniform", "forward_lt", "backward_lt")
@@ -406,9 +406,7 @@ def spec_from_dict(data: dict) -> DatasetSpec:
 
 
 def save_spec(spec: DatasetSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(spec_to_dict(spec), path)
 
 
 def load_spec(path) -> DatasetSpec:

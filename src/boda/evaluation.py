@@ -1,9 +1,8 @@
-"""Accuracy breakdowns, feature-discrepancy analysis, and the
-statistics-vs-accuracy correlation report."""
+"""Accuracy breakdowns and the statistics-vs-accuracy correlation
+report."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,7 +11,6 @@ import numpy as np
 from . import model
 from .datagen import Dataset
 from .errors import ValidationError
-from .stats import group_by_pair
 
 
 @dataclass
@@ -79,56 +77,6 @@ def accuracy_report(params: model.ModelParams, ds: Dataset,
         per_pair=per_pair,
         shot_region=regions,
     )
-
-
-def feature_discrepancy(params: model.ModelParams, ds: Dataset):
-    """Per-pair train/test centroid distances in representation space.
-
-    ``within`` is the distance between a pair's train and test centroids;
-    ``best_cross`` the smallest distance from its test centroid to another
-    domain's train centroid of the same class. Also returns the Pearson
-    correlation between log count ratios and log distance ratios over all
-    ordered same-class cross-domain pairs.
-    """
-    def centroids(split):
-        z, _, _ = model.forward(params, split.x)
-        groups = group_by_pair(z, split.domain, split.label)
-        return {key: rows.mean(axis=0) for key, rows in groups.items()}
-
-    mu_train, mu_test = centroids(ds.train), centroids(ds.test)
-
-    per_pair = {}
-    for key in sorted(mu_test):
-        d, c = key
-        within = (
-            float(np.linalg.norm(mu_train[key] - mu_test[key]))
-            if key in mu_train else None
-        )
-        cross = [
-            float(np.linalg.norm(mu_train[(d2, c)] - mu_test[key]))
-            for d2, c2 in mu_train
-            if c2 == c and d2 != d
-        ]
-        per_pair[key] = {
-            "within": within,
-            "best_cross": min(cross) if cross else None,
-            "count": ds.counts.get(key, 0),
-        }
-
-    xs, ys = [], []
-    for (d, c) in mu_train:
-        for (d2, c2) in mu_train:
-            if c2 != c or d2 == d:
-                continue
-            within = per_pair.get((d, c), {}).get("within")
-            other = float(np.linalg.norm(mu_train[(d2, c)] - mu_test[(d, c)])) \
-                if (d, c) in mu_test else None
-            if within is None or other is None or within <= 0 or other <= 0:
-                continue
-            xs.append(math.log(ds.counts[(d2, c)] / ds.counts[(d, c)]))
-            ys.append(math.log(within / other))
-    correlation = _pearson(np.array(xs), np.array(ys)) if len(xs) >= 2 else 0.0
-    return per_pair, correlation
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

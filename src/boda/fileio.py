@@ -1,5 +1,6 @@
 """Atomic file writes."""
 
+import json
 import os
 from contextlib import contextmanager
 
@@ -17,3 +18,10 @@ def atomic_open(path, newline=None):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_json(payload, path) -> None:
+    """``payload`` as two-space-indented JSON and a newline, atomically."""
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

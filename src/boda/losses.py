@@ -281,8 +281,7 @@ def verify_bound(z, domains, labels, nu: float = 1.0,
         raise ValidationError("bound check needs data for every pair; "
                               "({},{}) missing".format(*missing[0]))
     # One distance pass: the graph reads it before the loss scales it.
-    store, dist, _, ts = _graph_pass(z, domains, labels,
-                                     nu if calibrated else None, grouping)
+    store, dist, _, ts = _graph_pass(z, grouping, nu if calibrated else None)
     result = _align("calibrated_boda" if calibrated else "boda", z, domains,
                     labels, store, nu, "sum", False, dist)[0]
     rhs_fn = theorem2_rhs if calibrated else theorem1_rhs

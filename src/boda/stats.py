@@ -21,17 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import atomic_open, write_json
 from .numerics import BLOCK_ELEMS, inverse_shrunk, sym_eig
-
-
-@dataclass
-class FeatureStats:
-    """One pair's statistics: views of one row of a ``StatsStore``."""
-
-    key: tuple            # (domain, class)
-    mu: np.ndarray        # (h,)
-    sigma: np.ndarray     # (h, h), population covariance
-    count: int
 
 
 class StatsStore:
@@ -67,12 +58,10 @@ class StatsStore:
         for a in (self.key_domain, self.key_class, self.mu, self.sigma,
                   self.counts, self.key_code):
             a.flags.writeable = False
-        self._row = {key: i for i, key in enumerate(
-            zip(self.key_domain.tolist(), self.key_class.tolist()))}
 
     def index(self, domains, labels) -> np.ndarray:
         """Row of each sample's (domain, class) pair, in key order."""
-        if not self._row:
+        if not len(self):
             raise ValidationError("statistics store is empty")
         d = np.atleast_1d(np.asarray(domains, dtype=np.int64))
         c = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -94,19 +83,12 @@ class StatsStore:
         out.flags.writeable = False
         return out
 
-    def __contains__(self, key):
-        return tuple(key) in self._row
-
-    def __getitem__(self, key) -> FeatureStats:
-        i = self._row[tuple(key)]
-        return FeatureStats(tuple(key), self.mu[i], self.sigma[i],
-                            int(self.counts[i]))
-
     def __len__(self):
-        return len(self._row)
+        return len(self.key_domain)
 
     def keys(self):
-        return list(self._row)
+        """The (domain, class) tuples of the rows, in key order."""
+        return list(zip(self.key_domain.tolist(), self.key_class.tolist()))
 
 
 def pair_grouping(domains, labels):
@@ -125,39 +107,34 @@ def pair_grouping(domains, labels):
             np.append(starts, d.size))
 
 
-def group_by_pair(z, domains, labels, grouping=None) -> dict:
-    """Group feature rows by (domain, class) key, preserving row order.
+def group_by_pair(z, grouping) -> np.ndarray:
+    """The (N, h) rows of ``z`` gathered in the pair order of ``grouping``
+    (a ``pair_grouping``): pair i's rows are ``[bounds[i]:bounds[i+1]]``."""
+    return np.asarray(z, dtype=np.float64)[grouping[1]]
 
-    The groups are views of one gather of ``z``; passing the
-    ``pair_grouping`` of these domains and labels skips its sort.
+
+def compute_stats(rows, grouping) -> StatsStore:
+    """Mean, population covariance, and count of each pair of ``grouping``,
+    one contiguous segment of the ``group_by_pair`` rows at a time.
+
+    A grouping has no empty segment, so every pair gets a row; non-finite
+    features are rejected.
     """
-    keys, order, bounds = grouping or pair_grouping(domains, labels)
-    rows = np.asarray(z, dtype=np.float64)[order]
-    b = bounds.tolist()
-    return {key: rows[b[i]:b[i + 1]] for i, key in enumerate(keys)}
-
-
-def compute_stats(features_by_key: dict) -> StatsStore:
-    """Mean, population covariance, and count for each sampled pair.
-
-    Empty groups are omitted (a pair with no data has no statistics);
-    non-finite features are rejected. Each pair fills one row of the arrays.
-    """
-    keys = [k for k in sorted(features_by_key)
-            if np.size(features_by_key[k])]
-    groups = [np.asarray(features_by_key[k], dtype=np.float64) for k in keys]
-    if any(z.ndim != 2 for z in groups):
-        raise ValidationError("features must be 2-D per group")
-    h = groups[0].shape[1] if groups else 0
+    keys, _, bounds = grouping
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValidationError("features must be 2-D")
+    b, h = bounds.tolist(), rows.shape[1]
     mu, sigma = np.empty((len(keys), h)), np.empty((len(keys), h, h))
-    for i, (key, z) in enumerate(zip(keys, groups)):
+    for i, key in enumerate(keys):
+        z = rows[b[i]:b[i + 1]]
         if not np.all(np.isfinite(z)):
             raise ValidationError(f"non-finite feature in group {key}")
         mu[i] = z.mean(axis=0)
         centered = z - mu[i]
         sigma[i] = centered.T @ centered / z.shape[0]
     return StatsStore([k[0] for k in keys], [k[1] for k in keys], mu, sigma,
-                      [len(z) for z in groups])
+                      np.diff(bounds))
 
 
 def momentum_update(prev: StatsStore, current: StatsStore,
@@ -239,12 +216,12 @@ def build_graph(store: StatsStore, dist, grouping) -> TransferabilityGraph:
     return TransferabilityGraph(keys, weights)
 
 
-def _graph_pass(z, domains, labels, nu=None, grouping=None):
-    """``(store, dist, graph, ts)``: statistics, the one pass of (N, K)
-    Euclidean distances, the graph built from them and its summaries
-    (calibrated when ``nu`` is given)."""
-    grouping = grouping or pair_grouping(domains, labels)
-    store = compute_stats(group_by_pair(z, domains, labels, grouping))
+def _graph_pass(z, grouping, nu=None):
+    """``(store, dist, graph, ts)``: statistics of the rows of ``z`` grouped
+    by their ``pair_grouping``, the one pass of (N, K) Euclidean distances,
+    the graph built from them and its summaries (calibrated when ``nu`` is
+    given)."""
+    store = compute_stats(group_by_pair(z, grouping), grouping)
     dist = distances(z, store)
     graph = build_graph(store, dist, grouping)
     return store, dist, graph, transfer_stats(graph, nu, store.counts)
@@ -340,9 +317,7 @@ def save_graph(graph: TransferabilityGraph, path) -> None:
         "keys": [[int(d), int(c)] for d, c in graph.keys],
         "weights": [float(v) for v in graph.weights.ravel()],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_graph(path) -> TransferabilityGraph:
@@ -355,7 +330,7 @@ def load_graph(path) -> TransferabilityGraph:
 
 
 def save_mds_csv(keys, coords, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["domain", "class", "x", "y"])
         for (d, c), (x, y) in zip(keys, coords):
@@ -367,9 +342,7 @@ def save_stats(store: StatsStore, path) -> None:
                 "sigma": sigma.tolist(), "count": int(count)}
                for (d, c), mu, sigma, count in zip(
                    store.keys(), store.mu, store.sigma, store.counts)]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def transfer_stats_to_dict(ts: TransferStats) -> dict:

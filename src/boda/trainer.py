@@ -18,6 +18,7 @@ import numpy as np
 from . import evaluation, losses, model
 from .datagen import Dataset
 from .errors import NumericalError, ValidationError
+from .fileio import atomic_open
 from .numerics import make_rng
 from .stats import (_graph_pass, compute_stats, group_by_pair,
                     momentum_update, pair_grouping)
@@ -131,8 +132,7 @@ def encode_features(params: model.ModelParams, split):
 def _full_pass_stats(params, ds: Dataset, grouping):
     """Statistics of the training rows, grouped by the run's ``grouping``."""
     z = encode_features(params, ds.train)
-    return compute_stats(group_by_pair(z, ds.train.domain, ds.train.label,
-                                       grouping))
+    return compute_stats(group_by_pair(z, grouping), grouping)
 
 
 def _diagnostics(params, ds: Dataset, nu: float):
@@ -149,7 +149,8 @@ def _diagnostics(params, ds: Dataset, nu: float):
     except ValidationError:
         bound_gap = float("nan")
         try:
-            ts = _graph_pass(z, ds.train.domain, ds.train.label)[3]
+            ts = _graph_pass(
+                z, pair_grouping(ds.train.domain, ds.train.label))[3]
         except ValidationError:
             return float("nan"), float("nan"), float("nan"), bound_gap
     return ts.alpha, ts.beta, ts.gamma, bound_gap
@@ -391,7 +392,7 @@ def config_from_dict(data: dict) -> TrainConfig:
 
 
 def save_log_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "step", "stage", "ce", "boda", "joint", "val_accuracy",
@@ -406,7 +407,7 @@ def save_log_csv(rows, path) -> None:
 
 
 def save_trials_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "trial", "lr", "hidden", "seed", "accuracy",

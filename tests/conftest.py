@@ -1,9 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from boda.datagen import DatasetSpec, DomainShift, LabelProfile, generate
-from boda.stats import (FeatureStats, StatsStore, build_graph, distances,
-                        pair_grouping)
+from boda.stats import (StatsStore, build_graph, compute_stats, distances,
+                        group_by_pair, pair_grouping)
 
 
 def divergent_spec(seed=0, max_count=200, ratio=100.0, input_dim=24,
@@ -68,8 +70,18 @@ def tiny_dataset():
     return generate(tiny_spec(seed=11))
 
 
+@dataclass
+class PairStats:
+    """One pair's statistics, as the tests' oracles and stores spell them."""
+
+    key: tuple            # (domain, class)
+    mu: np.ndarray        # (h,)
+    sigma: np.ndarray     # (h, h), population covariance
+    count: int
+
+
 def make_store(stats):
-    """A StatsStore holding these FeatureStats records, in any key order."""
+    """A StatsStore holding these PairStats records, in any key order."""
     stats = sorted(stats, key=lambda st: tuple(st.key))
     return StatsStore([st.key[0] for st in stats], [st.key[1] for st in stats],
                       [st.mu for st in stats], [st.sigma for st in stats],
@@ -86,7 +98,7 @@ def random_store(rng, num_domains=2, num_classes=2, dim=3, max_count=50,
             a = rng.standard_normal((dim, dim)) / np.sqrt(dim)
             sigma = a @ a.T + 0.1 * np.eye(dim)
             count = int(rng.integers(1, max_count + 1))
-            stats.append(FeatureStats((d, c), mu, sigma, count))
+            stats.append(PairStats((d, c), mu, sigma, count))
     return make_store(stats)
 
 
@@ -109,13 +121,26 @@ def random_features(rng, num_domains, num_classes, dim, max_count=50,
     return z, doms, labs, groups
 
 
-def graph_of(store, groups, metric="euclidean"):
-    """``build_graph`` of per-pair feature groups: their rows stacked in
-    key order and their ``distances`` to the store's centroids."""
+def stacked(groups):
+    """``(z, grouping)``: per-pair feature groups' rows stacked in key order
+    and their ``pair_grouping``."""
     keys = sorted(groups)
     sizes = [len(groups[k]) for k in keys]
     z = np.vstack([np.asarray(groups[k], dtype=np.float64) for k in keys])
     doms = np.repeat([k[0] for k in keys], sizes)
     labs = np.repeat([k[1] for k in keys], sizes)
-    return build_graph(store, distances(z, store, metric),
-                       pair_grouping(doms, labs))
+    return z, pair_grouping(doms, labs)
+
+
+def stats_of(groups):
+    """``compute_stats`` of per-pair feature groups; a group with no rows
+    gets no row in the store."""
+    z, grouping = stacked(groups)
+    return compute_stats(group_by_pair(z, grouping), grouping)
+
+
+def graph_of(store, groups, metric="euclidean"):
+    """``build_graph`` of per-pair feature groups: their rows stacked in
+    key order and their ``distances`` to the store's centroids."""
+    z, grouping = stacked(groups)
+    return build_graph(store, distances(z, store, metric), grouping)

@@ -23,12 +23,13 @@ from boda.stats import (
     compute_stats,
     group_by_pair,
     mds_2d,
+    pair_grouping,
     transfer_stats,
 )
 from boda.trainer import TrainConfig, retrain_classifier, sweep, train
 
 from conftest import (balanced_spec, divergent_spec, graph_of,
-                      random_features, tiny_spec)
+                      random_features, stats_of, tiny_spec)
 
 
 def ok(criterion: int, message: str) -> None:
@@ -103,7 +104,8 @@ def test_criterion_4_gradient_checks():
     z0, _, cache0 = model.forward(params, x)
     kink_margin = min(float(np.abs(p).min()) for p in cache0["pre_acts"][:-1])
     assert kink_margin > 1e-4, "instance too close to a ReLU kink"
-    store = compute_stats(group_by_pair(z0, doms, labs))
+    grouping = pair_grouping(doms, labs)
+    store = compute_stats(group_by_pair(z0, grouping), grouping)
     omega = 0.1
 
     def loss_at(flat):
@@ -232,7 +234,7 @@ def test_criterion_9_reductions_hold_exactly():
     # equal counts: calibrated statistics equal the plain statistics
     z, doms, labs, groups = random_features(rng, 2, 4, 3, max_count=1)
     groups = {k: np.repeat(v, 6, axis=0) for k, v in groups.items()}
-    store = compute_stats(groups)
+    store = stats_of(groups)
     graph = graph_of(store, groups)
     ts = transfer_stats(graph, nu=1.3, counts=store.counts)
     assert ts.calibrated.alpha == ts.alpha

@@ -6,12 +6,15 @@ import sys
 import warnings
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from boda import cli, losses, model, stats, trainer
-from boda.datagen import load_dataset, save_spec, spec_to_dict
+from boda.datagen import (DatasetSpec, DomainShift, LabelProfile,
+                          load_dataset, save_spec, spec_to_dict)
+from boda.fileio import write_json
 from boda.trainer import TrainConfig
 
 from conftest import divergent_spec, tiny_spec
@@ -346,14 +349,73 @@ class TestVerifyBound:
         assert json.loads(out.read_text())["gap"] >= -1e-9
 
 
-def test_failed_json_write_keeps_previous_file(tmp_path):
-    path = tmp_path / "report.json"
-    cli._write_json_atomic({"a": 1}, str(path))
+def _on_full_disk(write):
+    """``write`` run while ``json.dump`` writes a prefix and then fails, as
+    it would on a full disk."""
+    def bad(path, monkeypatch):
+        def dump(obj, fh, **kwargs):
+            fh.write("[")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump)
+        write(path)
+    return bad
+
+
+def _graph(path):
+    stats.save_graph(stats.TransferabilityGraph(
+        [(0, 0), (1, 0)], np.array([[0.0, 1.5], [2.5, 0.0]])), path)
+
+
+def _stats(path):
+    stats.save_stats(stats.StatsStore([0, 1], [0, 0], np.ones((2, 2)),
+                                      np.zeros((2, 2, 2)), [1, 2]), path)
+
+
+def _spec(path):
+    save_spec(tiny_spec(seed=13), path)
+
+
+_KEYS = [(0, 0), (1, 0)]
+_LOG_ROW = trainer.LogRow(step=1, ce=0.5, boda=0.1, joint=0.51,
+                          val_accuracy=50.0, alpha=1.0, beta=2.0, gamma=3.0,
+                          bound_gap=0.2)
+_TRIAL = trainer.TrialRecord(0, 1e-3, 16, 0, 50.0, 1.0, 2.0, 3.0)
+_MISSING = SimpleNamespace(step=2, trial=1)  # a record missing its fields
+
+# writer -> (a good write, a write that raises partway, its exception)
+WRITERS = {
+    "write_json": (lambda p: write_json({"a": 1}, p),
+                   lambda p, _: write_json({"a": 2, "b": object()}, p),
+                   TypeError),
+    "save_graph": (_graph, _on_full_disk(_graph), OSError),
+    "save_stats": (_stats, _on_full_disk(_stats), OSError),
+    "save_spec": (_spec, _on_full_disk(_spec), OSError),
+    "save_mds_csv": (
+        lambda p: stats.save_mds_csv(_KEYS, [(0.5, 1.0), (2.0, 3.0)], p),
+        lambda p, _: stats.save_mds_csv(_KEYS, [(0.5, 1.0), (2.0,)], p),
+        ValueError),
+    "save_log_csv": (
+        lambda p: trainer.save_log_csv([_LOG_ROW, _LOG_ROW], p),
+        lambda p, _: trainer.save_log_csv([_LOG_ROW, _MISSING], p),
+        AttributeError),
+    "save_trials_csv": (
+        lambda p: trainer.save_trials_csv([_TRIAL, _TRIAL], p),
+        lambda p, _: trainer.save_trials_csv([_TRIAL, _MISSING], p),
+        AttributeError),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    good, bad, error = WRITERS[writer]
+    path = tmp_path / "out"
+    good(path)
     before = path.read_bytes()
-    with pytest.raises(TypeError):  # json.dump fails after writing a prefix
-        cli._write_json_atomic({"a": 2, "b": object()}, str(path))
+    with pytest.raises(error):
+        bad(path, monkeypatch)
     assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
 
 class TestFileErrors:
@@ -572,9 +634,9 @@ class TestThreadCountDeterminism:
     SCRIPT = ("import json, sys\nfrom boda import cli\n"
               "sys.exit(any(cli.main(a) for a in json.loads(sys.argv[1])))")
 
-    def test_one_and_two_blas_threads_byte_identical(self, tmp_path,
-                                                     spec_path):
-        cfg = write_config(tmp_path, steps=30, variant="boda_m", omega=0.1)
+    def _outputs(self, tmp_path, spec_path, cfg):
+        """Files written by gen, train and analyze in one subprocess per BLAS
+        thread count (1, 2); manifests without their duration."""
         commands = [
             ["gen", "--spec", str(spec_path), "--out", "data.csv"],
             ["train", "--data", "data.csv", "--config", str(cfg),
@@ -609,8 +671,53 @@ class TestThreadCountDeterminism:
                     files[str(path.relative_to(root))] = data
             return files
 
-        one, two = outputs(tmp_path / "threads1"), outputs(tmp_path / "threads2")
+        return outputs(tmp_path / "threads1"), outputs(tmp_path / "threads2")
+
+    def test_one_and_two_blas_threads_byte_identical(self, tmp_path,
+                                                     spec_path):
+        cfg = write_config(tmp_path, steps=30, variant="boda_m", omega=0.1)
+        one, two = self._outputs(tmp_path, spec_path, cfg)
         assert len(one) == 10
         assert one.keys() == two.keys()
         differing = [name for name in one if one[name] != two[name]]
         assert not differing
+
+    @pytest.mark.slow
+    def test_officehome_grid_differs_only_in_mds_rounding(self, tmp_path):
+        # At K = 260 LAPACK's eigh splits its work by thread count, so the
+        # MDS coordinates may round differently; reruns are byte-identical
+        # only at a fixed thread count. Every other output is the same bytes.
+        dim = 24
+        spec = DatasetSpec(
+            num_domains=4, num_classes=65, input_dim=dim,
+            profiles=(LabelProfile("forward_lt", 100, 100.0),
+                      LabelProfile("backward_lt", 100, 100.0),
+                      LabelProfile("uniform", 30),
+                      LabelProfile("forward_lt", 60, 10.0)),
+            domain_shift=tuple(
+                DomainShift(0.05 * d, tuple([1.0 * d, -0.5 * d] + [
+                    0.4 * d * (-1) ** i for i in range(dim - 2)]))
+                for d in range(4)),
+            class_separation=12.0, noise_std=0.5, test_per_pair=2,
+            val_per_pair=2, seed=3)
+        spec_path = tmp_path / "spec.json"
+        save_spec(spec, spec_path)
+        cfg = write_config(tmp_path, steps=20, omega=0.0, hidden=(32,),
+                           rep_dim=16)
+        one, two = self._outputs(tmp_path, spec_path, cfg)
+        assert one.keys() == two.keys()
+        mds = os.path.join("analysis", "mds.csv")
+        differing = [name for name in one
+                     if name != mds and one[name] != two[name]]
+        assert not differing
+
+        def rows(data):
+            return list(csv.reader(data.decode().splitlines()))[1:]
+
+        a, b = rows(one[mds]), rows(two[mds])
+        assert len(a) == 260
+        assert [r[:2] for r in a] == [r[:2] for r in b]
+        xy_a = np.array([r[2:] for r in a], dtype=float)
+        xy_b = np.array([r[2:] for r in b], dtype=float)
+        np.testing.assert_allclose(xy_b, xy_a, rtol=0.0,
+                                   atol=1e-12 * np.abs(xy_a).max())

@@ -8,7 +8,6 @@ from boda.datagen import Dataset, Split, generate
 from boda.errors import ValidationError
 from boda.evaluation import (
     accuracy_report,
-    feature_discrepancy,
     shot_region,
     stats_accuracy_correlation,
 )
@@ -116,36 +115,6 @@ class TestAccuracyReport:
         r2 = accuracy_report(p, shuffled)
         assert r1.per_pair == r2.per_pair
         assert r1.average == r2.average
-
-
-class TestFeatureDiscrepancy:
-    def test_train_equals_test_gives_zero_within(self):
-        ds = two_blob_dataset()
-        same = dataclasses.replace(ds, test=ds.train)
-        per_pair, corr = feature_discrepancy(identity_model(2, 2), same)
-        for entry in per_pair.values():
-            assert entry["within"] == pytest.approx(0.0, abs=1e-12)
-        assert -1.0 <= corr <= 1.0
-
-    def test_minority_within_distance_larger_in_expectation(self):
-        # sampling error: 5-sample centroids drift farther from the test
-        # centroid than 1000-sample centroids
-        minority_within, majority_within = [], []
-        for seed in range(20):
-            ds = two_blob_dataset(seed=seed, n_train=(5, 1000), n_test=400)
-            per_pair, _ = feature_discrepancy(identity_model(2, 2), ds)
-            for (d, c), entry in per_pair.items():
-                (minority_within if c == 0 else majority_within).append(
-                    entry["within"]
-                )
-        assert np.mean(minority_within) > np.mean(majority_within)
-
-    def test_correlation_in_range(self, tiny_dataset):
-        ds = tiny_dataset
-        _, corr = feature_discrepancy(
-            identity_model(ds.input_dim, ds.num_classes), ds
-        )
-        assert -1.0 <= corr <= 1.0
 
 
 class FakeRecord:

@@ -18,16 +18,14 @@ from boda.losses import (
 )
 from boda.numerics import inverse_shrunk, make_rng
 from boda.stats import (
-    FeatureStats,
     TransferStats,
     CalibratedStats,
-    compute_stats,
     distances,
-    group_by_pair,
     transfer_stats,
 )
 
-from conftest import graph_of, make_store, random_features, random_store
+from conftest import (PairStats, graph_of, make_store, random_features,
+                      random_store, stats_of)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +50,7 @@ def calibration_coeff(n_src: int, n_dst: int, nu: float) -> float:
     return (n_dst / n_src) ** nu
 
 
-def boda_m_distance(z, stats: FeatureStats, eps_rel=1e-3) -> float:
+def boda_m_distance(z, stats: PairStats, eps_rel=1e-3) -> float:
     """Mahalanobis distance to a pair's centroid under its shrunk covariance."""
     diff = np.asarray(z, dtype=np.float64) - stats.mu
     a = inverse_shrunk(stats.sigma, eps_rel)
@@ -76,10 +74,16 @@ def ce_loss(logits, label: int):
 def reference_per_sample(z_i, key_i, store, *, balanced, calibrated=False,
                          nu=1.0, metric="euclidean", eps_rel=1e-3):
     d_i, c_i = key_i
-    n_src = store[key_i].count
+
+    def row(key):
+        i = int(store.index([key[0]], [key[1]])[0])
+        return PairStats(key, store.mu[i], store.sigma[i],
+                         int(store.counts[i]))
+
+    n_src = row(key_i).count
 
     def raw(key):
-        st = store[key]
+        st = row(key)
         if metric == "euclidean":
             diff = np.asarray(z_i, dtype=float) - st.mu
             return math.sqrt(float(diff @ diff))
@@ -90,7 +94,7 @@ def reference_per_sample(z_i, key_i, store, *, balanced, calibrated=False,
         if balanced:
             value = balanced_distance(value, n_src)
         if calibrated:
-            value = value * calibration_coeff(n_src, store[key].count, nu)
+            value = value * calibration_coeff(n_src, row(key).count, nu)
         return value
 
     keys = store.keys()
@@ -159,7 +163,7 @@ class TestScalars:
 
     @pytest.mark.parametrize("variant", ["da", "boda", "boda_m"])
     def test_one_domain_store_rejected(self, variant):
-        one = make_store([FeatureStats((3, c), np.zeros(2), np.eye(2), 2)
+        one = make_store([PairStats((3, c), np.zeros(2), np.eye(2), 2)
                           for c in range(3)])
         assert not one.multi_domain and square_store().multi_domain
         with pytest.raises(ValidationError, match=">= 2 domains"):
@@ -171,7 +175,7 @@ def square_store(counts=(1, 1, 1, 1)):
     mus = [np.array([0.0, 0.0]), np.array([1.0, 0.0]),
            np.array([0.0, 1.0]), np.array([1.0, 1.0])]
     return make_store([
-        FeatureStats(k, mu, np.zeros((2, 2)), n)
+        PairStats(k, mu, np.zeros((2, 2)), n)
         for k, mu, n in zip(keys, mus, counts)
     ])
 
@@ -189,7 +193,7 @@ class TestDaLoss:
         keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
         angles = np.linspace(0, 2 * np.pi, 4, endpoint=False)
         store = make_store([
-            FeatureStats(k, 2.5 * np.array([np.cos(t), np.sin(t)]),
+            PairStats(k, 2.5 * np.array([np.cos(t), np.sin(t)]),
                          np.zeros((2, 2)), 1)
             for k, t in zip(keys, angles)
         ])
@@ -214,9 +218,9 @@ class TestDaLoss:
     def test_sample_without_positive_skipped(self):
         # class 1 exists only in domain 0: that sample is skipped, counted
         store = make_store([
-            FeatureStats((0, 0), np.zeros(2), np.zeros((2, 2)), 1),
-            FeatureStats((0, 1), np.ones(2), np.zeros((2, 2)), 1),
-            FeatureStats((1, 0), np.array([0.0, 2.0]), np.zeros((2, 2)), 1),
+            PairStats((0, 0), np.zeros(2), np.zeros((2, 2)), 1),
+            PairStats((0, 1), np.ones(2), np.zeros((2, 2)), 1),
+            PairStats((1, 0), np.array([0.0, 2.0]), np.zeros((2, 2)), 1),
         ])
         res = alignment_loss("da", np.zeros((2, 2)), [0, 0], [1, 0], store)
         assert res.skipped == 1
@@ -286,7 +290,7 @@ class TestBodaLoss:
         rng = make_rng(15)
         keys = [(d, c) for d in range(2) for c in range(2)]
         store = make_store([
-            FeatureStats(k, 2 * rng.standard_normal(3), np.eye(3),
+            PairStats(k, 2 * rng.standard_normal(3), np.eye(3),
                          int(rng.integers(1, 20)))
             for k in keys
         ])
@@ -302,7 +306,7 @@ class TestBodaLoss:
     def test_rigid_motion_invariance(self):
         rng = make_rng(16)
         z, doms, labs, groups = random_features(rng, 2, 3, 2, max_count=10)
-        store = compute_stats(groups)
+        store = stats_of(groups)
         base = alignment_loss("calibrated_boda", z, doms, labs, store,
                               reduction="sum")
         theta = 0.7
@@ -312,22 +316,22 @@ class TestBodaLoss:
         moved = {k: v @ rot.T + shift for k, v in groups.items()}
         z2 = z @ rot.T + shift
         res2 = alignment_loss("calibrated_boda", z2, doms, labs,
-                              compute_stats(moved), reduction="sum")
+                              stats_of(moved), reduction="sum")
         assert res2.value == pytest.approx(base.value, rel=1e-9)
 
 
 class TestBodaMDistance:
     def test_identity_covariance_is_euclid(self):
-        st = FeatureStats((0, 0), np.array([1.0, 1.0]), np.eye(2), 3)
+        st = PairStats((0, 0), np.array([1.0, 1.0]), np.eye(2), 3)
         d = boda_m_distance(np.array([4.0, 5.0]), st)
         assert d == pytest.approx(5.0, rel=1e-3)
 
     def test_zero_at_centroid(self):
-        st = FeatureStats((0, 0), np.array([2.0, -1.0]), np.eye(2), 3)
+        st = PairStats((0, 0), np.array([2.0, -1.0]), np.eye(2), 3)
         assert boda_m_distance(np.array([2.0, -1.0]), st) == 0.0
 
     def test_diagonal_closed_form(self):
-        st = FeatureStats((0, 0), np.zeros(2), np.diag([4.0, 1.0]), 3)
+        st = PairStats((0, 0), np.zeros(2), np.diag([4.0, 1.0]), 3)
         d = boda_m_distance(np.array([2.0, 0.0]), st)
         assert d == pytest.approx(1.0, rel=1e-3)
 
@@ -398,8 +402,8 @@ class TestGradients:
 
     def test_skipped_sample_raises(self):
         store = make_store([
-            FeatureStats((0, 0), np.zeros(2), np.zeros((2, 2)), 1),
-            FeatureStats((1, 1), np.ones(2), np.zeros((2, 2)), 1),
+            PairStats((0, 0), np.zeros(2), np.zeros((2, 2)), 1),
+            PairStats((1, 1), np.ones(2), np.zeros((2, 2)), 1),
         ])
         with pytest.raises(ValidationError):
             boda_grad("boda", np.zeros(2), (0, 0), store)
@@ -414,7 +418,7 @@ class TestBlockedDistances:
     def test_row_blocks_bitwise_equal(self, variant, monkeypatch):
         z, doms, labs, groups = random_features(make_rng(31), 3, 4, 5,
                                                 max_count=20)
-        store = compute_stats(groups)
+        store = stats_of(groups)
         whole, grad = alignment_grad(variant, z, doms, labs, store)
         monkeypatch.setattr("boda.stats.BLOCK_ELEMS", 1)
         blocked, grad_b = alignment_grad(variant, z, doms, labs, store)
@@ -458,7 +462,7 @@ class TestGradientOracles:
         sizes = [len(groups[k]) for k in keys]
         z = np.vstack([groups[k] for k in keys])
         return (z, np.repeat([k[0] for k in keys], sizes),
-                np.repeat([k[1] for k in keys], sizes), compute_stats(groups))
+                np.repeat([k[1] for k in keys], sizes), stats_of(groups))
 
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     @pytest.mark.parametrize("variant", list(losses.VARIANTS))
@@ -595,10 +599,9 @@ class TestVerifyBound:
 
     @pytest.mark.parametrize("calibrated", [False, True])
     def test_report_carries_its_transfer_stats(self, calibrated):
-        z, doms, labs, _ = random_features(make_rng(25), 3, 3, 4)
+        z, doms, labs, groups = random_features(make_rng(25), 3, 3, 4)
         report = verify_bound(z, doms, labs, nu=0.7, calibrated=calibrated)
-        groups = group_by_pair(z, doms, labs)
-        store = compute_stats(groups)
+        store = stats_of(groups)
         ts = transfer_stats(graph_of(store, groups),
                             nu=0.7 if calibrated else None,
                             counts=store.counts)

@@ -8,7 +8,7 @@ from boda import losses, model
 from boda.errors import ValidationError
 from boda.gradcheck import central_difference, relative_error
 from boda.numerics import make_rng
-from boda.stats import compute_stats, group_by_pair
+from boda.stats import compute_stats, group_by_pair, pair_grouping
 
 
 class TestInit:
@@ -180,7 +180,8 @@ class TestBackward:
         z0, _, cache0 = model.forward(p, x)
         assert min(float(np.abs(pre).min())
                    for pre in cache0["pre_acts"][:-1]) > 1e-4
-        store = compute_stats(group_by_pair(z0, doms, labs))
+        grouping = pair_grouping(doms, labs)
+        store = compute_stats(group_by_pair(z0, grouping), grouping)
 
         def loss_at(flat):
             p.flat[...] = flat

@@ -5,7 +5,6 @@ from boda import stats
 from boda.errors import ValidationError
 from boda.numerics import inverse_shrunk, make_rng
 from boda.stats import (
-    FeatureStats,
     StatsStore,
     compute_stats,
     group_by_pair,
@@ -17,7 +16,8 @@ from boda.stats import (
     transfer_stats,
 )
 
-from conftest import graph_of, make_store, random_features
+from conftest import (PairStats, graph_of, make_store, random_features,
+                      stats_of)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ def compute_stats_oracle(features_by_key: dict) -> dict:
         mu = z.mean(axis=0)
         centered = z - mu
         sigma = centered.T @ centered / z.shape[0]
-        out[tuple(key)] = FeatureStats(tuple(key), mu, sigma, z.shape[0])
+        out[tuple(key)] = PairStats(tuple(key), mu, sigma, z.shape[0])
     return out
 
 
@@ -44,12 +44,12 @@ def momentum_oracle(prev: StatsStore, current: StatsStore,
     """``alpha_m * prev + (1 - alpha_m) * current``, one key at a time."""
     out = {}
     for key in current.keys():
-        p, c = prev[key], current[key]
-        out[key] = FeatureStats(
+        p, c = (int(s.index([key[0]], [key[1]])[0]) for s in (prev, current))
+        out[key] = PairStats(
             key,
-            alpha_m * p.mu + (1.0 - alpha_m) * c.mu,
-            alpha_m * p.sigma + (1.0 - alpha_m) * c.sigma,
-            c.count,
+            alpha_m * prev.mu[p] + (1.0 - alpha_m) * current.mu[c],
+            alpha_m * prev.sigma[p] + (1.0 - alpha_m) * current.sigma[c],
+            int(current.counts[c]),
         )
     return out
 
@@ -73,11 +73,10 @@ def transferability(src_samples, mu_dst, metric="euclidean", sigma_inv=None):
 
 def assert_store_bit_equal(store: StatsStore, expected: dict):
     assert store.keys() == list(expected)
-    for key, st in expected.items():
-        got = store[key]
-        assert got.mu.tobytes() == np.asarray(st.mu).tobytes(), key
-        assert got.sigma.tobytes() == np.asarray(st.sigma).tobytes(), key
-        assert got.count == st.count, key
+    for i, (key, st) in enumerate(expected.items()):
+        assert store.mu[i].tobytes() == np.asarray(st.mu).tobytes(), key
+        assert store.sigma[i].tobytes() == np.asarray(st.sigma).tobytes(), key
+        assert store.counts[i] == st.count, key
 
 
 def uneven_groups(rng, num_domains=3, num_classes=5, dim=4, max_count=6):
@@ -102,67 +101,67 @@ UNIT_SQUARE = {
 
 class TestComputeStats:
     def test_singleton_zero_covariance(self):
-        store = compute_stats({(0, 0): np.array([[2.0, -1.0]])})
-        st = store[(0, 0)]
-        np.testing.assert_array_equal(st.mu, [2.0, -1.0])
-        np.testing.assert_array_equal(st.sigma, np.zeros((2, 2)))
-        assert st.count == 1
+        store = stats_of({(0, 0): np.array([[2.0, -1.0]])})
+        np.testing.assert_array_equal(store.mu[0], [2.0, -1.0])
+        np.testing.assert_array_equal(store.sigma[0], np.zeros((2, 2)))
+        assert store.counts[0] == 1
 
     def test_two_point_hand_computation(self):
-        store = compute_stats({(0, 0): np.array([[0.0, 0.0], [2.0, 0.0]])})
-        st = store[(0, 0)]
-        np.testing.assert_array_equal(st.mu, [1.0, 0.0])
-        np.testing.assert_array_equal(st.sigma, [[1.0, 0.0], [0.0, 0.0]])
+        store = stats_of({(0, 0): np.array([[0.0, 0.0], [2.0, 0.0]])})
+        np.testing.assert_array_equal(store.mu[0], [1.0, 0.0])
+        np.testing.assert_array_equal(store.sigma[0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_permutation_invariance(self):
         rng = make_rng(1)
         z = rng.standard_normal((20, 3))
-        store1 = compute_stats({(0, 0): z})
-        store2 = compute_stats({(0, 0): z[::-1]})
-        np.testing.assert_allclose(store1[(0, 0)].mu, store2[(0, 0)].mu)
-        np.testing.assert_allclose(store1[(0, 0)].sigma, store2[(0, 0)].sigma)
+        store1 = stats_of({(0, 0): z})
+        store2 = stats_of({(0, 0): z[::-1]})
+        np.testing.assert_allclose(store1.mu[0], store2.mu[0])
+        np.testing.assert_allclose(store1.sigma[0], store2.sigma[0])
 
     def test_empty_group_omitted(self):
-        store = compute_stats({(0, 0): np.zeros((0, 2)),
-                               (1, 0): np.ones((2, 2))})
-        assert (0, 0) not in store
-        assert (1, 0) in store
+        # A pair with no rows is not in the grouping, so it gets no row.
+        store = stats_of({(0, 0): np.zeros((0, 2)), (1, 0): np.ones((2, 2))})
+        with pytest.raises(ValidationError, match="no statistics"):
+            store.index([0], [0])
+        np.testing.assert_array_equal(store.index([1], [0]), [0])
+        assert store.keys() == [(1, 0)]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
-            compute_stats({(0, 0): np.array([[np.inf, 0.0]])})
+            stats_of({(0, 0): np.array([[np.inf, 0.0]])})
 
     def test_population_covariance(self):
         rng = make_rng(2)
         z = rng.standard_normal((7, 2))
-        store = compute_stats({(0, 0): z})
-        np.testing.assert_allclose(store[(0, 0)].sigma, np.cov(z.T, bias=True))
+        store = stats_of({(0, 0): z})
+        np.testing.assert_allclose(store.sigma[0], np.cov(z.T, bias=True))
 
 
 class TestMomentumUpdate:
     def _store(self, mu, count=4):
-        return make_store([FeatureStats((0, 0), np.array(mu, dtype=float),
+        return make_store([PairStats((0, 0), np.array(mu, dtype=float),
                                         np.eye(2), count)])
 
     def test_alpha_one_keeps_prev(self):
         out = momentum_update(self._store([0.0, 0.0], 3),
                               self._store([2.0, 2.0], 9), 1.0)
-        np.testing.assert_array_equal(out[(0, 0)].mu, [0.0, 0.0])
-        assert out[(0, 0)].count == 9  # counts track the current pass
+        np.testing.assert_array_equal(out.mu[0], [0.0, 0.0])
+        assert out.counts[0] == 9  # counts track the current pass
 
     def test_alpha_zero_takes_current(self):
         out = momentum_update(self._store([0.0, 0.0]),
                               self._store([2.0, 2.0]), 0.0)
-        np.testing.assert_array_equal(out[(0, 0)].mu, [2.0, 2.0])
+        np.testing.assert_array_equal(out.mu[0], [2.0, 2.0])
 
     def test_midpoint(self):
         out = momentum_update(self._store([0.0, 0.0]),
                               self._store([2.0, 2.0]), 0.5)
-        np.testing.assert_array_equal(out[(0, 0)].mu, [1.0, 1.0])
+        np.testing.assert_array_equal(out.mu[0], [1.0, 1.0])
 
     def test_different_pairs_rejected(self):
-        a = FeatureStats((0, 0), np.zeros(2), np.eye(2), 1)
-        b = FeatureStats((1, 0), np.ones(2), np.eye(2), 2)
+        a = PairStats((0, 0), np.zeros(2), np.eye(2), 1)
+        b = PairStats((1, 0), np.ones(2), np.eye(2), 2)
         for prev, cur in (([a], [b]), ([a], [a, b]), ([a, b], [b])):
             with pytest.raises(ValidationError, match="same pairs"):
                 momentum_update(make_store(prev), make_store(cur), 0.9)
@@ -175,19 +174,20 @@ class TestMomentumUpdate:
 
 class TestStore:
     def test_rows_are_read_only_views(self):
-        store = compute_stats(uneven_groups(make_rng(20)))
+        store = stats_of(uneven_groups(make_rng(20)))
         for key in store.keys():
-            st = store[key]
-            assert np.shares_memory(st.mu, store.mu)
-            assert np.shares_memory(st.sigma, store.sigma)
-            assert not st.mu.flags.writeable
-            assert not st.sigma.flags.writeable
+            i = int(store.index([key[0]], [key[1]])[0])
+            mu, sigma = store.mu[i], store.sigma[i]
+            assert np.shares_memory(mu, store.mu)
+            assert np.shares_memory(sigma, store.sigma)
+            assert not mu.flags.writeable
+            assert not sigma.flags.writeable
         for name in ("mu", "sigma", "counts", "key_domain", "key_class",
                      "inverses"):
             assert not getattr(store, name).flags.writeable, name
 
     def test_index_finds_every_key(self):
-        store = compute_stats(uneven_groups(make_rng(21)))
+        store = stats_of(uneven_groups(make_rng(21)))
         keys = store.keys()
         rows = store.index([k[0] for k in keys], [k[1] for k in keys])
         np.testing.assert_array_equal(rows, np.arange(len(keys)))
@@ -206,7 +206,7 @@ class TestStore:
                        [1, 1])
 
     def test_inverses_match_inverse_shrunk(self):
-        store = compute_stats(uneven_groups(make_rng(22)))
+        store = stats_of(uneven_groups(make_rng(22)))
         for k, sigma in enumerate(store.sigma):
             assert store.inverses[k].tobytes() == \
                 inverse_shrunk(sigma).tobytes()
@@ -216,7 +216,7 @@ class TestArrayStatsMatchLoops:
     @pytest.mark.parametrize("seed", range(6))
     def test_compute_stats_bit_equal(self, seed):
         groups = uneven_groups(make_rng(30 + seed))
-        store = compute_stats(groups)
+        store = stats_of(groups)
         assert (store.counts == 1).any()
         assert_store_bit_equal(store, compute_stats_oracle(groups))
 
@@ -226,12 +226,15 @@ class TestArrayStatsMatchLoops:
         labels = rng.integers(0, 6, 200)
         z = rng.standard_normal((200, 3))
         grouping = pair_grouping(domains, labels)
-        split = group_by_pair(z, None, None, grouping)
-        groups = group_by_pair(z, domains, labels)
-        assert list(split) == list(groups) == grouping[0]
-        for key in groups:
-            assert split[key].tobytes() == groups[key].tobytes()
-        assert_store_bit_equal(compute_stats(split),
+        keys, _, bounds = grouping
+        rows = group_by_pair(z, grouping)
+        groups = {(int(d), int(c)): z[(domains == d) & (labels == c)]
+                  for d, c in set(zip(domains, labels))}
+        assert keys == sorted(groups)
+        for i, key in enumerate(keys):
+            assert rows[bounds[i]:bounds[i + 1]].tobytes() == \
+                groups[key].tobytes()
+        assert_store_bit_equal(compute_stats(rows, grouping),
                                compute_stats_oracle(groups))
 
     @pytest.mark.parametrize("alpha_m", [0.0, 0.3, 0.9, 1.0])
@@ -243,14 +246,14 @@ class TestArrayStatsMatchLoops:
         shared = prev_groups.keys() & cur_groups.keys()
         prev_groups = {k: prev_groups[k] for k in shared}
         cur_groups = {k: cur_groups[k] for k in shared}
-        prev, cur = compute_stats(prev_groups), compute_stats(cur_groups)
+        prev, cur = stats_of(prev_groups), stats_of(cur_groups)
         out = momentum_update(prev, cur, alpha_m)
         assert_store_bit_equal(out, momentum_oracle(prev, cur, alpha_m))
 
     def test_momentum_update_same_keys(self):
         groups = uneven_groups(make_rng(44))
-        prev = compute_stats(groups)
-        cur = compute_stats({k: v + 1.0 for k, v in groups.items()})
+        prev = stats_of(groups)
+        cur = stats_of({k: v + 1.0 for k, v in groups.items()})
         out = momentum_update(prev, cur, 0.9)
         assert_store_bit_equal(out, momentum_oracle(prev, cur, 0.9))
 
@@ -282,12 +285,12 @@ class TestTransferability:
 class TestBuildGraph:
     def test_single_key(self):
         groups = {(0, 0): np.array([[1.0, 1.0], [3.0, 1.0]])}
-        graph = graph_of(compute_stats(groups), groups)
+        graph = graph_of(stats_of(groups), groups)
         assert graph.weights.shape == (1, 1)
         assert graph.weights[0, 0] == pytest.approx(1.0)  # mean |z - mu|
 
     def test_unit_square_enumeration(self):
-        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(stats_of(UNIT_SQUARE), UNIT_SQUARE)
         assert graph.keys == [(0, 0), (0, 1), (1, 0), (1, 1)]
         w = graph.weights
         root2 = np.sqrt(2.0)
@@ -308,17 +311,17 @@ class TestBuildGraph:
         tight = rng.standard_normal((50, 2)) * 0.1
         wide = np.array([4.0, 0.0]) + rng.standard_normal((50, 2)) * 2.0
         groups = {(0, 0): tight, (1, 0): wide}
-        graph = graph_of(compute_stats(groups), groups)
+        graph = graph_of(stats_of(groups), groups)
         assert abs(graph.weights[0, 1] - graph.weights[1, 0]) > 0.05
 
     def test_missing_stats_rejected(self):
         groups = {(0, 0): np.zeros((1, 2)), (1, 0): np.ones((1, 2))}
-        store = compute_stats({(0, 0): np.zeros((1, 2))})
+        store = stats_of({(0, 0): np.zeros((1, 2))})
         with pytest.raises(ValidationError):
             graph_of(store, groups)
 
     def test_graph_json_roundtrip(self, tmp_path):
-        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(stats_of(UNIT_SQUARE), UNIT_SQUARE)
         path = tmp_path / "graph.json"
         save_graph(graph, path)
         loaded = load_graph(path)
@@ -332,9 +335,10 @@ def graph_oracle(store, groups, metric):
     weights = np.empty((len(keys), len(keys)))
     for i, ki in enumerate(keys):
         for j, kj in enumerate(keys):
-            inv = (inverse_shrunk(store[kj].sigma, 1e-3)
+            row = int(store.index([kj[0]], [kj[1]])[0])
+            inv = (inverse_shrunk(store.sigma[row], 1e-3)
                    if metric == "mahalanobis" else None)
-            weights[i, j] = transferability(groups[ki], store[kj].mu,
+            weights[i, j] = transferability(groups[ki], store.mu[row],
                                             metric, inv)
     return weights
 
@@ -370,7 +374,7 @@ def uneven_grid():
     """3 x 5 grid, counts 1..30 per pair, one pair without data."""
     _, _, _, groups = random_features(make_rng(8), 3, 5, 4, max_count=30)
     del groups[(1, 2)]
-    return compute_stats(groups), groups
+    return stats_of(groups), groups
 
 
 class TestArrayPassesMatchLoops:
@@ -425,29 +429,33 @@ class TestArrayPassesMatchLoops:
         domains = rng.integers(-1, 3, n)
         labels = rng.integers(0, 6, n)
         z = np.column_stack([np.arange(n, dtype=float), rng.normal(size=n)])
-        groups = group_by_pair(z, domains, labels)
+        keys, _, bounds = grouping = pair_grouping(domains, labels)
+        rows = group_by_pair(z, grouping)
         expected = sorted({(int(d), int(c)) for d, c in zip(domains, labels)})
-        assert list(groups) == expected
-        for (d, c), rows in groups.items():
+        assert keys == expected
+        for i, (d, c) in enumerate(keys):
             np.testing.assert_array_equal(
-                rows, z[(domains == d) & (labels == c)]
+                rows[bounds[i]:bounds[i + 1]],
+                z[(domains == d) & (labels == c)]
             )
-        assert sum(len(v) for v in groups.values()) == n
+        assert len(rows) == bounds[-1] == n
 
     def test_group_by_pair_empty(self):
-        assert group_by_pair(np.zeros((0, 3)), [], []) == {}
+        grouping = pair_grouping([], [])
+        assert grouping[0] == []
+        assert group_by_pair(np.zeros((0, 3)), grouping).shape == (0, 3)
 
 
 class TestTransferStats:
     def test_unit_square_values(self):
-        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(stats_of(UNIT_SQUARE), UNIT_SQUARE)
         ts = transfer_stats(graph)
         assert ts.alpha == pytest.approx(1.0)
         assert ts.beta == pytest.approx(1.0)
         assert ts.gamma == pytest.approx(np.sqrt(2.0))
 
     def test_equal_counts_calibrated_matches_plain(self):
-        graph = graph_of(compute_stats(UNIT_SQUARE), UNIT_SQUARE)
+        graph = graph_of(stats_of(UNIT_SQUARE), UNIT_SQUARE)
         counts = np.full(len(graph.keys), 7)
         ts = transfer_stats(graph, nu=1.3, counts=counts)
         assert ts.calibrated.alpha == ts.alpha
@@ -457,7 +465,7 @@ class TestTransferStats:
     def test_nu_zero_matches_plain(self):
         rng = make_rng(5)
         z, doms, labs, groups = random_features(rng, 3, 4, 3)
-        store = compute_stats(groups)
+        store = stats_of(groups)
         graph = graph_of(store, groups)
         ts = transfer_stats(graph, nu=0.0, counts=store.counts)
         assert ts.calibrated.alpha == ts.alpha
@@ -467,14 +475,14 @@ class TestTransferStats:
     def test_relabeling_invariance(self):
         rng = make_rng(6)
         z, doms, labs, groups = random_features(rng, 2, 3, 4)
-        store = compute_stats(groups)
+        store = stats_of(groups)
         ts = transfer_stats(graph_of(store, groups))
         # permute domain ids (0<->1) and class ids (cyclic shift)
         remap = {
             (d, c): (1 - d, (c + 1) % 3) for d in range(2) for c in range(3)
         }
         groups2 = {remap[k]: v for k, v in groups.items()}
-        ts2 = transfer_stats(graph_of(compute_stats(groups2), groups2))
+        ts2 = transfer_stats(graph_of(stats_of(groups2), groups2))
         assert ts2.alpha == pytest.approx(ts.alpha, rel=1e-12)
         assert ts2.beta == pytest.approx(ts.beta, rel=1e-12)
         assert ts2.gamma == pytest.approx(ts.gamma, rel=1e-12)
@@ -482,17 +490,17 @@ class TestTransferStats:
     def test_translation_invariance(self):
         rng = make_rng(7)
         z, doms, labs, groups = random_features(rng, 2, 2, 5)
-        ts = transfer_stats(graph_of(compute_stats(groups), groups))
+        ts = transfer_stats(graph_of(stats_of(groups), groups))
         shift = 13.7 * np.ones(5)
         groups2 = {k: v + shift for k, v in groups.items()}
-        ts2 = transfer_stats(graph_of(compute_stats(groups2), groups2))
+        ts2 = transfer_stats(graph_of(stats_of(groups2), groups2))
         assert ts2.alpha == pytest.approx(ts.alpha, rel=1e-9)
         assert ts2.beta == pytest.approx(ts.beta, rel=1e-9)
         assert ts2.gamma == pytest.approx(ts.gamma, rel=1e-9)
 
     def test_single_domain_rejected(self):
         groups = {(0, 0): np.zeros((2, 2)), (0, 1): np.ones((2, 2))}
-        graph = graph_of(compute_stats(groups), groups)
+        graph = graph_of(stats_of(groups), groups)
         with pytest.raises(ValidationError):
             transfer_stats(graph)
 
@@ -546,6 +554,8 @@ class TestMds:
 class TestGroupByPair:
     def test_grouping(self):
         z = np.arange(8, dtype=float).reshape(4, 2)
-        groups = group_by_pair(z, [0, 0, 1, 1], [0, 1, 0, 0])
-        assert set(groups) == {(0, 0), (0, 1), (1, 0)}
-        np.testing.assert_array_equal(groups[(1, 0)], z[2:])
+        keys, _, bounds = grouping = pair_grouping([0, 0, 1, 1], [0, 1, 0, 0])
+        rows = group_by_pair(z, grouping)
+        assert set(keys) == {(0, 0), (0, 1), (1, 0)}
+        i = keys.index((1, 0))
+        np.testing.assert_array_equal(rows[bounds[i]:bounds[i + 1]], z[2:])

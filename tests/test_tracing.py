@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from boda import losses
-from boda.stats import compute_stats, momentum_update
+from boda.stats import momentum_update
 
-from conftest import random_features
+from conftest import random_features, stats_of
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,7 +53,7 @@ def test_install_wraps_every_name_and_uninstall_restores_it():
                 assert hasattr(owner, "__wrapped__"), f"{target} not wrapped"
         z, doms, labs, groups = random_features(np.random.default_rng(0),
                                                 2, 3, 4)
-        store = compute_stats(groups)
+        store = stats_of(groups)
         losses.alignment_grad("boda_m", z, doms, labs, store)
         calls = tracer.snapshot()["calls"]
         assert calls["losses.align"] == 1
@@ -72,7 +72,7 @@ def test_inverses_cached_per_store():
     a momentum-updated store is a new store and inverts afresh."""
     spans = load_spans()
     z, doms, labs, groups = random_features(np.random.default_rng(1), 2, 3, 4)
-    store = compute_stats(groups)
+    store = stats_of(groups)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -86,7 +86,7 @@ def test_inverses_cached_per_store():
         assert inversions() == 1
         losses.alignment_grad("calibrated_boda", z, doms, labs, store)
         assert inversions() == 1
-        updated = momentum_update(store, compute_stats(groups), 0.9)
+        updated = momentum_update(store, stats_of(groups), 0.9)
         losses.alignment_grad("boda_m", z, doms, labs, updated)
         assert inversions() == 2
     finally:
@@ -96,11 +96,10 @@ def test_inverses_cached_per_store():
 def test_store_arrays_are_read_only():
     """Writing through a store's arrays would make its cached inverses stale,
     so numpy refuses it."""
-    store = compute_stats(random_features(np.random.default_rng(2),
-                                          2, 2, 3)[3])
+    store = stats_of(random_features(np.random.default_rng(2), 2, 2, 3)[3])
     with pytest.raises(ValueError):
         store.mu[0, 0] = 1.0
     with pytest.raises(ValueError):
         store.sigma[0] += 1.0
     with pytest.raises(ValueError):
-        store[store.keys()[0]].sigma[0, 0] = 1.0
+        store.sigma[int(store.index([0], [0])[0])][0, 0] = 1.0

@@ -9,7 +9,7 @@ from boda.errors import ValidationError
 from boda.numerics import make_rng
 from boda.trainer import TrainConfig, retrain_classifier, sweep, train
 
-from conftest import graph_of, tiny_spec
+from conftest import tiny_spec
 
 
 def fast_cfg(**kwargs):
@@ -166,8 +166,9 @@ class TestDiagnostics:
 
     def _expected(self, params, ds):
         z = trainer.encode_features(params, ds.train)
-        groups = stats.group_by_pair(z, ds.train.domain, ds.train.label)
-        graph = graph_of(stats.compute_stats(groups), groups)
+        grouping = stats.pair_grouping(ds.train.domain, ds.train.label)
+        store = stats.compute_stats(stats.group_by_pair(z, grouping), grouping)
+        graph = stats.build_graph(store, stats.distances(z, store), grouping)
         return stats.transfer_stats(graph)
 
     def test_complete_grid(self, tiny_dataset, monkeypatch):
