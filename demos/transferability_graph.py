@@ -38,8 +38,7 @@ print(f"dataset: {ds.num_domains} domains x {ds.num_classes} classes, "
       f"{len(ds.train)} training samples")
 print("training counts per (domain, class):")
 for d in range(ds.num_domains):
-    row = [ds.counts[(d, c)] for c in range(ds.num_classes)]
-    print(f"  domain {d}: {row}")
+    print(f"  domain {d}: {ds.counts[d].tolist()}")
 
 params, _ = train(ds, TrainConfig(steps=800, eval_every=800, seed=1,
                                   hidden=(32, 32), rep_dim=8))

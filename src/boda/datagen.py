@@ -12,6 +12,7 @@ test splits are always balanced over the full domain-class grid.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .fileio import atomic_open, write_json
+from .fileio import atomic_open, check_json_object, write_json
 from .numerics import make_rng
 
 PROFILE_KINDS = ("uniform", "forward_lt", "backward_lt")
@@ -108,10 +109,19 @@ class Dataset:
     train: Split
     val: Split
     test: Split
-    counts: dict                 # (domain, class) -> training count, all pairs
-    num_domains: int
-    num_classes: int
-    input_dim: int
+    counts: np.ndarray   # (num_domains, num_classes) int64 training rows
+
+    @property
+    def num_domains(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.counts.shape[1]
+
+    @property
+    def input_dim(self) -> int:
+        return self.train.x.shape[1]
 
 
 def profile_counts(profile: LabelProfile, num_classes: int) -> list:
@@ -135,70 +145,51 @@ def profile_counts(profile: LabelProfile, num_classes: int) -> list:
     return forward[::-1]
 
 
-def _class_prototypes(spec: DatasetSpec) -> np.ndarray:
+def _centers(spec: DatasetSpec) -> np.ndarray:
+    """(D, C, dim) pair means: class prototypes on a circle of radius
+    ``class_separation``, moved by each domain's rigid transform."""
     protos = np.zeros((spec.num_classes, spec.input_dim))
     for c in range(spec.num_classes):
         angle = 2.0 * math.pi * c / spec.num_classes
         protos[c, 0] = spec.class_separation * math.cos(angle)
         protos[c, 1] = spec.class_separation * math.sin(angle)
-    return protos
-
-
-def _shifted_prototype(proto: np.ndarray, shift: DomainShift) -> np.ndarray:
-    out = proto.copy()
-    c, s = math.cos(shift.rotation), math.sin(shift.rotation)
-    x0, x1 = out[0], out[1]
-    out[0] = c * x0 - s * x1
-    out[1] = s * x0 + c * x1
-    return out + np.asarray(shift.translation, dtype=np.float64)
+    centers = np.repeat(protos[None], spec.num_domains, axis=0)
+    for out, shift in zip(centers, spec.domain_shift):
+        cos, sin = math.cos(shift.rotation), math.sin(shift.rotation)
+        out[:, 0] = cos * protos[:, 0] - sin * protos[:, 1]
+        out[:, 1] = sin * protos[:, 0] + cos * protos[:, 1]
+        out += np.asarray(shift.translation, dtype=np.float64)
+    return centers
 
 
 def generate(spec: DatasetSpec) -> Dataset:
     """Generate a dataset deterministically from its spec (seed included).
 
     Training counts follow each domain's profile with ``zero_pairs`` forced
-    to zero; val/test stay balanced over every pair regardless.
+    to zero; val/test stay balanced over every pair regardless. Each split's
+    rows run domain-major, one noise draw per split.
     """
     rng = make_rng(spec.seed)
-    protos = _class_prototypes(spec)
-    per_domain = [profile_counts(p, spec.num_classes) for p in spec.profiles]
+    centers = _centers(spec)
+    counts = np.array([profile_counts(p, spec.num_classes)
+                       for p in spec.profiles], dtype=np.int64)
+    zero_d, zero_c = np.array(list(spec.zero_pairs),
+                              dtype=np.int64).reshape(-1, 2).T
+    counts[zero_d, zero_c] = 0
+    if not counts.any():
+        raise ValidationError("dataset has no training samples")
 
-    counts = {}
-    for d in range(spec.num_domains):
-        for c in range(spec.num_classes):
-            n = 0 if (d, c) in spec.zero_pairs else per_domain[d][c]
-            counts[(d, c)] = n
+    def draw_split(n):
+        d, c = np.divmod(np.repeat(np.arange(n.size), n.ravel()),
+                         spec.num_classes)
+        noise = rng.standard_normal((len(d), spec.input_dim))
+        return Split(centers[d, c] + spec.noise_std * noise, d, c)
 
-    def draw_split(n_of_pair):
-        xs, ds, cs = [], [], []
-        for d in range(spec.num_domains):
-            for c in range(spec.num_classes):
-                n = n_of_pair(d, c)
-                if n == 0:
-                    continue
-                center = _shifted_prototype(protos[c], spec.domain_shift[d])
-                pts = center + spec.noise_std * rng.standard_normal(
-                    (n, spec.input_dim)
-                )
-                xs.append(pts)
-                ds.append(np.full(n, d, dtype=np.int64))
-                cs.append(np.full(n, c, dtype=np.int64))
-        if not xs:
-            raise ValidationError("dataset has no training samples")
-        return Split(np.vstack(xs), np.concatenate(ds), np.concatenate(cs))
-
-    train = draw_split(lambda d, c: counts[(d, c)])
-    val = draw_split(lambda d, c: spec.val_per_pair)
-    test = draw_split(lambda d, c: spec.test_per_pair)
-    return Dataset(
-        train=train,
-        val=val,
-        test=test,
-        counts=counts,
-        num_domains=spec.num_domains,
-        num_classes=spec.num_classes,
-        input_dim=spec.input_dim,
-    )
+    grid = counts.shape
+    train = draw_split(counts)
+    val = draw_split(np.full(grid, spec.val_per_pair))
+    test = draw_split(np.full(grid, spec.test_per_pair))
+    return Dataset(train, val, test, counts)
 
 
 def label_divergence(ds: Dataset) -> dict:
@@ -208,29 +199,16 @@ def label_divergence(ds: Dataset) -> dict:
     produce infinite divergences. Returns per-domain KL to the uniform
     distribution and all ordered pairwise KLs.
     """
-    c_count = ds.num_classes
-    probs = {}
-    for d in range(ds.num_domains):
-        n_d = sum(ds.counts[(d, c)] for c in range(c_count))
-        if n_d == 0:
-            raise ValidationError(f"domain {d} has no training samples")
-        p = np.array(
-            [(ds.counts[(d, c)] + 1.0) / (n_d + c_count) for c in range(c_count)]
-        )
-        probs[d] = p
-
-    to_uniform = {
-        d: float(np.sum(p * np.log(p * c_count))) for d, p in probs.items()
-    }
-    pairwise = {}
-    for d in range(ds.num_domains):
-        for d2 in range(ds.num_domains):
-            if d == d2:
-                continue
-            pairwise[(d, d2)] = float(
-                np.sum(probs[d] * np.log(probs[d] / probs[d2]))
-            )
-    return {"to_uniform": to_uniform, "pairwise": pairwise}
+    n_d = ds.counts.sum(axis=1, keepdims=True)
+    empty = np.flatnonzero(n_d == 0)
+    if empty.size:
+        raise ValidationError(f"domain {empty[0]} has no training samples")
+    p = (ds.counts + 1.0) / (n_d + ds.num_classes)        # (D, C)
+    to_uniform = np.sum(p * np.log(p * ds.num_classes), axis=1)
+    kl = np.sum(p[:, None] * np.log(p[:, None] / p[None]), axis=2).tolist()
+    return {"to_uniform": dict(enumerate(to_uniform.tolist())),
+            "pairwise": {(d, e): kl[d][e] for d, e
+                         in itertools.permutations(range(len(kl)), 2)}}
 
 
 # ---------------------------------------------------------------------------
@@ -262,21 +240,18 @@ def load_dataset(path) -> Dataset:
             text = fh.read()
     except UnicodeDecodeError:  # _load_rows then raises its own error for it
         text = ""
-    (train, val, test), dim = _parse_rows(text) or _load_rows(path)
+    train, val, test = _parse_rows(text) or _load_rows(path)
     all_d = np.concatenate([train.domain, val.domain, test.domain])
     all_c = np.concatenate([train.label, val.label, test.label])
-    num_domains = int(all_d.max()) + 1 if all_d.size else 0
-    num_classes = int(all_c.max()) + 1 if all_c.size else 0
-    per_pair = np.bincount(train.domain * num_classes + train.label,
-                           minlength=num_domains * num_classes).tolist()
-    counts = {(d, c): per_pair[d * num_classes + c]
-              for d in range(num_domains) for c in range(num_classes)}
-    return Dataset(train, val, test, counts, num_domains, num_classes, dim)
+    grid = (all_d.max(initial=-1) + 1, all_c.max(initial=-1) + 1)
+    counts = np.bincount(train.domain * grid[1] + train.label,
+                         minlength=grid[0] * grid[1]).reshape(grid)
+    return Dataset(train, val, test, counts)
 
 
 def _parse_rows(text):
-    """``load_dataset``'s one-pass parse: ``((train, val, test), dim)``, or
-    None where only ``_load_rows`` can decide."""
+    """``load_dataset``'s one-pass parse: the ``(train, val, test)`` splits,
+    or None where only ``_load_rows`` can decide."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -303,11 +278,11 @@ def _parse_rows(text):
             or (int(d.max()) + 1) * (int(c.max()) + 1) > MAX_GRID_PAIRS \
             or not np.isfinite(x).all():
         return None
-    return [Split(x[m], d[m], c[m]) for m in masks], dim
+    return [Split(x[m], d[m], c[m]) for m in masks]
 
 
 def _load_rows(path):
-    """The row-by-row reader: ``((train, val, test), dim)``, or a
+    """The row-by-row reader: the ``(train, val, test)`` splits, or a
     ``ValidationError`` naming the first bad CSV line."""
     rows = {name: [] for name in _SPLITS}
     with open(path, newline="") as fh:
@@ -349,7 +324,7 @@ def _load_rows(path):
                                   "non-finite feature")
         return Split(xs_, ds_, cs_)
 
-    return [to_split(rows[k]) for k in _SPLITS], dim
+    return [to_split(rows[k]) for k in _SPLITS]
 
 
 def spec_to_dict(spec: DatasetSpec) -> dict:
@@ -362,43 +337,36 @@ def spec_to_dict(spec: DatasetSpec) -> dict:
     }
 
 
+_SPEC_KINDS = {
+    "num_domains": int, "num_classes": int, "input_dim": int,
+    "profiles": [{"kind": str, "max_count": int, "imbalance_ratio": float}],
+    "domain_shift": [{"rotation": float, "translation": [float]}],
+    "class_separation": float, "noise_std": float, "zero_pairs": [[int]],
+    "test_per_pair": int, "val_per_pair": int, "seed": int,
+}
+
+
 def spec_from_dict(data: dict) -> DatasetSpec:
-    if not isinstance(data, dict):
-        raise ValidationError("dataset spec must be a JSON object")
-    for f in fields(DatasetSpec):
-        if f.name not in data and f.name != "zero_pairs":
-            raise ValidationError(f"dataset spec is missing field {f.name!r}")
+    """A spec from its JSON object, under the config's type rule at every
+    level (``fileio.json_type_ok``); float fields are stored as floats."""
+    check_json_object(data, _SPEC_KINDS, "dataset spec",
+                      [f.name for f in fields(DatasetSpec)
+                       if f.name != "zero_pairs"])
     try:
         profiles = tuple(
-            LabelProfile(
-                kind=p["kind"],
-                max_count=int(p["max_count"]),
-                imbalance_ratio=float(p.get("imbalance_ratio", 1.0)),
-            )
-            for p in data["profiles"]
-        )
+            LabelProfile(p["kind"], p["max_count"],
+                         float(p.get("imbalance_ratio", 1.0)))
+            for p in data["profiles"])
         shifts = tuple(
-            DomainShift(
-                rotation=float(s.get("rotation", 0.0)),
-                translation=tuple(float(v) for v in s["translation"]),
-            )
-            for s in data["domain_shift"]
-        )
-        return DatasetSpec(
-            num_domains=int(data["num_domains"]),
-            num_classes=int(data["num_classes"]),
-            input_dim=int(data["input_dim"]),
-            profiles=profiles,
-            domain_shift=shifts,
-            class_separation=float(data["class_separation"]),
-            noise_std=float(data["noise_std"]),
-            zero_pairs=frozenset(
-                (int(d), int(c)) for d, c in data.get("zero_pairs", [])
-            ),
-            test_per_pair=int(data["test_per_pair"]),
-            val_per_pair=int(data["val_per_pair"]),
-            seed=int(data["seed"]),
-        )
+            DomainShift(float(s.get("rotation", 0.0)),
+                        tuple(map(float, s["translation"])))
+            for s in data["domain_shift"])
+        return DatasetSpec(**{
+            **data, "profiles": profiles, "domain_shift": shifts,
+            "class_separation": float(data["class_separation"]),
+            "noise_std": float(data["noise_std"]),
+            "zero_pairs": frozenset(map(tuple, data.get("zero_pairs", []))),
+        })
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

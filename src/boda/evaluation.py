@@ -26,29 +26,32 @@ class AccuracyReport:
     shot_region: dict           # (domain, class) -> region name
 
 
-def shot_region(count: int, many_min: int = 100, few_max: int = 20) -> str:
+MANY_MIN = 100  # the paper's many-shot pairs have over 100 training rows
+FEW_MAX = 20    # and its few-shot pairs under 20
+
+
+def shot_region(count: int) -> str:
     """Region of a pair by its training count.
 
-    zero: no samples; few: under ``few_max``; medium: ``few_max`` to
-    ``many_min`` inclusive; many: above ``many_min``.
+    zero: no samples; few: under ``FEW_MAX``; medium: ``FEW_MAX`` to
+    ``MANY_MIN`` inclusive; many: above ``MANY_MIN``.
     """
     if count == 0:
         return "zero"
-    if count < few_max:
+    if count < FEW_MAX:
         return "few"
-    if count <= many_min:
+    if count <= MANY_MIN:
         return "medium"
     return "many"
 
 
-def accuracy_report(params: model.ModelParams, ds: Dataset,
-                    many_min: int = 100, few_max: int = 20) -> AccuracyReport:
+def accuracy_report(params: model.ModelParams, ds: Dataset) -> AccuracyReport:
     """Argmax-of-logits accuracy over the balanced test split."""
     if len(ds.test) == 0:
         raise ValidationError("test split is empty")
     _, logits, _ = model.forward(params, ds.test.x)
     correct = logits.argmax(axis=1) == ds.test.label
-    grid = (ds.num_domains, ds.num_classes)
+    grid = ds.counts.shape
     code = np.ravel_multi_index((ds.test.domain, ds.test.label), grid)
     size = np.bincount(code, minlength=grid[0] * grid[1]).reshape(grid)
     hits = np.bincount(code[correct], minlength=size.size).reshape(grid)
@@ -58,24 +61,19 @@ def accuracy_report(params: model.ModelParams, ds: Dataset,
 
     per_pair = {(d, c): float(pair_acc[d, c])
                 for d, c in np.argwhere(size).tolist()}
-    regions = {(d, c): shot_region(ds.counts.get((d, c), 0), many_min, few_max)
-               for d in range(grid[0]) for c in range(grid[1])}
+    regions = {k: shot_region(n) for k, n in np.ndenumerate(ds.counts)}
     per_domain = {d: float(acc) for d, acc in enumerate(domain_acc)}
     region_acc = {}
     for name in ("many", "medium", "few", "zero"):
         vals = [per_pair[k] for k in per_pair if regions[k] == name]
         region_acc[name] = float(np.mean(vals)) if vals else None
-
     return AccuracyReport(
         per_domain=per_domain,
         average=float(np.mean(list(per_domain.values()))),
         worst=float(min(per_domain.values())),
-        many=region_acc["many"],
-        medium=region_acc["medium"],
-        few=region_acc["few"],
-        zero=region_acc["zero"],
         per_pair=per_pair,
         shot_region=regions,
+        **region_acc,
     )
 
 
@@ -86,22 +84,12 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
-    """Average ranks (ties share the mean of their positions)."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def _spearman(x: np.ndarray, y: np.ndarray) -> float:
-    return _pearson(_rankdata(x), _rankdata(y))
+    """Average ranks (ties share the mean of their positions; each NaN is
+    its own tie, ranked in input order: ``return_index`` makes the sort
+    stable)."""
+    _, _, inv, n = np.unique(x, return_index=True, return_inverse=True,
+                             return_counts=True, equal_nan=False)
+    return (np.cumsum(n) - 0.5 * (n - 1))[inv]
 
 
 def stats_accuracy_correlation(records) -> dict:
@@ -120,6 +108,6 @@ def stats_accuracy_correlation(records) -> dict:
         return {"pearson": 0.0, "spearman": 0.0, "degenerate": True}
     return {
         "pearson": _pearson(x, y),
-        "spearman": _spearman(x, y),
+        "spearman": _pearson(_rankdata(x), _rankdata(y)),
         "degenerate": False,
     }

@@ -18,7 +18,7 @@ import numpy as np
 from . import evaluation, losses, model
 from .datagen import Dataset
 from .errors import NumericalError, ValidationError
-from .fileio import atomic_open
+from .fileio import atomic_open, check_json_object
 from .numerics import make_rng
 from .stats import (_graph_pass, compute_stats, group_by_pair,
                     momentum_update, pair_grouping)
@@ -135,7 +135,7 @@ def _full_pass_stats(params, ds: Dataset, grouping):
     return compute_stats(group_by_pair(z, grouping), grouping)
 
 
-def _diagnostics(params, ds: Dataset, nu: float):
+def _diagnostics(params, ds: Dataset):
     """(alpha, beta, gamma, bound_gap) of the current representations.
 
     The graph comes from the bound check, or is built here when that check
@@ -144,7 +144,7 @@ def _diagnostics(params, ds: Dataset, nu: float):
     z = encode_features(params, ds.train)
     try:
         report = losses.verify_bound(z, ds.train.domain, ds.train.label,
-                                     nu=nu, calibrated=False)
+                                     calibrated=False)
         ts, bound_gap = report.stats, report.gap
     except ValidationError:
         bound_gap = float("nan")
@@ -236,7 +236,7 @@ def train(ds: Dataset, cfg: TrainConfig):
 
         done = step + 1
         if done % cfg.eval_every == 0 or done == cfg.steps:
-            alpha, beta, gamma, bound_gap = _diagnostics(params, ds, cfg.nu)
+            alpha, beta, gamma, bound_gap = _diagnostics(params, ds)
             log.rows.append(LogRow(
                 step=done, ce=ce, boda=boda_value, joint=joint,
                 val_accuracy=_val_accuracy(params, ds.val),
@@ -263,7 +263,7 @@ def retrain_classifier(params: model.ModelParams, ds: Dataset,
     cls_grad = grad.flat[out.n_encoder:]
     opt = _Optimizer(cls_grad.size, cfg.optimizer, cfg.lr)
 
-    alpha, beta, gamma, bound_gap = _diagnostics(out, ds, cfg.nu)
+    alpha, beta, gamma, bound_gap = _diagnostics(out, ds)
     rows = []
     for step in range(cfg.decouple_steps):
         pick_pair = rng.integers(0, len(pairs), size=batch)
@@ -320,8 +320,7 @@ def _run_trial(ds: Dataset, base_cfg: TrainConfig, trial: int, lr: float,
     )
 
 
-def sweep(ds: Dataset, base_cfg: TrainConfig, n_trials: int,
-          param_ranges: dict | None = None, seed: int = 0,
+def sweep(ds: Dataset, base_cfg: TrainConfig, n_trials: int, seed: int = 0,
           workers: int = 1):
     """Train ``n_trials`` configs with log-uniform lr / hidden width and
     record balanced-test accuracy alongside the transferability statistics.
@@ -332,7 +331,6 @@ def sweep(ds: Dataset, base_cfg: TrainConfig, n_trials: int,
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
     ranges = {"lr": (1e-5, 10 ** -3.5), "hidden": (16, 128)}
-    ranges.update(param_ranges or {})
     rng = make_rng(seed, stream=23)
     plans = []
     for t in range(n_trials):
@@ -364,57 +362,30 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return {**asdict(cfg), "hidden": list(cfg.hidden)}
 
 
-def _json_type_ok(value, kind) -> bool:
-    """Whether a JSON value fits a field of type ``kind``: a bool only where a
-    bool is expected, an int where a float is, a list of ints for a tuple."""
-    if kind is tuple:
-        return isinstance(value, list) and all(_json_type_ok(v, int)
-                                               for v in value)
-    if kind is float:
-        kind = (int, float)
-    return isinstance(value, kind) and isinstance(value, bool) == (kind is bool)
-
-
 def config_from_dict(data: dict) -> TrainConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("config must be a JSON object")
     kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
-    unknown = set(data) - set(kinds)
-    if unknown:
-        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    for name, value in data.items():
-        if not _json_type_ok(value, kinds[name]):
-            raise ValidationError(
-                f"config field {name!r} has the wrong JSON type: {value!r}")
+    check_json_object(data, {**kinds, "hidden": [int]}, "config")
     if "hidden" in data:
         data = {**data, "hidden": tuple(data["hidden"])}
     return TrainConfig(**data)
 
 
-def save_log_csv(rows, path) -> None:
+def _save_records_csv(records, columns, path) -> None:
+    """A header row, then ``repr`` of each record's columns (for an int,
+    the text ``csv.writer`` writes for it), atomically."""
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([
-            "step", "stage", "ce", "boda", "joint", "val_accuracy",
-            "alpha", "beta", "gamma", "bound_gap",
-        ])
-        for r in rows:
-            writer.writerow([
-                r.step, r.stage, repr(r.ce), repr(r.boda), repr(r.joint),
-                repr(r.val_accuracy), repr(r.alpha), repr(r.beta),
-                repr(r.gamma), repr(r.bound_gap),
-            ])
+        writer.writerow(columns)
+        writer.writerows([repr(getattr(r, col)) for col in columns]
+                         for r in records)
+
+
+def save_log_csv(rows, path) -> None:
+    _save_records_csv(rows, ("step", "stage", "ce", "boda", "joint",
+                             "val_accuracy", "alpha", "beta", "gamma",
+                             "bound_gap"), path)
 
 
 def save_trials_csv(records, path) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "trial", "lr", "hidden", "seed", "accuracy",
-            "alpha", "beta", "gamma", "score",
-        ])
-        for r in records:
-            writer.writerow([
-                r.trial, repr(r.lr), r.hidden, r.seed, repr(r.accuracy),
-                repr(r.alpha), repr(r.beta), repr(r.gamma), repr(r.score),
-            ])
+    _save_records_csv(records, ("trial", "lr", "hidden", "seed", "accuracy",
+                                "alpha", "beta", "gamma", "score"), path)

@@ -92,8 +92,22 @@ class TestGen:
         lambda data: data["domain_shift"][1]["translation"].__setitem__(
             0, float("inf")),
         lambda data: data["profiles"][0].update(imbalance_ratio=float("nan")),
+        # under the config's type rule: no truncated float, no numeric
+        # string, no unknown field, at any level
+        lambda data: data.update(num_domains=2.7),
+        lambda data: data.update(test_per_pair=4.9),
+        lambda data: data["profiles"][0].update(max_count=12.9),
+        lambda data: data.update(seed="5"),
+        lambda data: data.update(input_dim=str(data["input_dim"])),
+        lambda data: data.update(zero_pairs=[[0.5, 1.9]]),
+        lambda data: data.update(noise=0.5),
+        lambda data: data["profiles"][1].update(ratio=3.0),
+        lambda data: data["domain_shift"][0].update(scale=2.0),
     ], ids=["max_count", "zero_pairs", "nan_noise", "inf_separation",
-            "nan_rotation", "inf_translation", "nan_imbalance"])
+            "nan_rotation", "inf_translation", "nan_imbalance",
+            "float_num_domains", "float_test_per_pair", "float_max_count",
+            "string_seed", "string_input_dim", "float_zero_pair",
+            "unknown_field", "unknown_profile_field", "unknown_shift_field"])
     def test_bad_value_exit_2(self, tmp_path, capsys, edit):
         data = spec_to_dict(tiny_spec())
         edit(data)

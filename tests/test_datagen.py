@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,104 @@ from boda.datagen import (
     spec_from_dict,
     spec_to_dict,
 )
+from boda.datagen import Split
 from boda.errors import ValidationError
+from boda.numerics import make_rng
 
 from conftest import balanced_spec, divergent_spec, tiny_spec
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def bench_spec(name, seed):
+    """A benchmark workload's dataset spec (``perfbench/workloads.py``)."""
+    loader = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                    WORKLOADS)
+    module = importlib.util.module_from_spec(loader)
+    sys.modules[loader.name] = module  # its dataclass looks itself up
+    loader.loader.exec_module(module)
+    return spec_from_dict(getattr(module, f"{name}_spec")(seed))
+
+
+# README at two seeds, OfficeHome-MLT, the benchmark warm-up, the conftest
+# grids and one with two zero pairs.
+ORACLE_SPECS = {
+    "readme_3": lambda: bench_spec("readme", 3),
+    "readme_7": lambda: bench_spec("readme", 7),
+    "officehome_3": lambda: bench_spec("officehome", 3),
+    "warmup_3": lambda: bench_spec("warmup", 3),
+    "tiny": lambda: tiny_spec(seed=11),
+    "balanced": lambda: balanced_spec(seed=2),
+    "divergent": lambda: divergent_spec(seed=4),
+    "two_zero_pairs": lambda: dataclasses.replace(
+        tiny_spec(seed=7), zero_pairs=frozenset({(0, 1), (1, 2)})),
+}
+
+
+def generate_oracle(spec):
+    """The per-pair generator that ``generate`` replaced: one noise draw per
+    pair and split, domain-major. Returns the splits and a (d, c) -> count
+    dict."""
+    rng = make_rng(spec.seed)
+    protos = np.zeros((spec.num_classes, spec.input_dim))
+    for c in range(spec.num_classes):
+        angle = 2.0 * math.pi * c / spec.num_classes
+        protos[c, 0] = spec.class_separation * math.cos(angle)
+        protos[c, 1] = spec.class_separation * math.sin(angle)
+    per_domain = [profile_counts(p, spec.num_classes) for p in spec.profiles]
+    counts = {(d, c): 0 if (d, c) in spec.zero_pairs else per_domain[d][c]
+              for d in range(spec.num_domains)
+              for c in range(spec.num_classes)}
+
+    def shifted(proto, shift):
+        out = proto.copy()
+        cos, sin = math.cos(shift.rotation), math.sin(shift.rotation)
+        x0, x1 = out[0], out[1]
+        out[0] = cos * x0 - sin * x1
+        out[1] = sin * x0 + cos * x1
+        return out + np.asarray(shift.translation, dtype=np.float64)
+
+    def draw_split(n_of_pair):
+        xs, ds, cs = [], [], []
+        for d in range(spec.num_domains):
+            for c in range(spec.num_classes):
+                n = n_of_pair(d, c)
+                if n == 0:
+                    continue
+                center = shifted(protos[c], spec.domain_shift[d])
+                xs.append(center + spec.noise_std * rng.standard_normal(
+                    (n, spec.input_dim)))
+                ds.append(np.full(n, d, dtype=np.int64))
+                cs.append(np.full(n, c, dtype=np.int64))
+        return Split(np.vstack(xs), np.concatenate(ds), np.concatenate(cs))
+
+    splits = (draw_split(lambda d, c: counts[(d, c)]),
+              draw_split(lambda d, c: spec.val_per_pair),
+              draw_split(lambda d, c: spec.test_per_pair))
+    return splits, counts
+
+
+def label_divergence_oracle(ds):
+    """The per-pair ``label_divergence`` that the (D, C) expression
+    replaced."""
+    counts, c_count = ds.counts.tolist(), ds.num_classes
+    probs = {}
+    for d in range(ds.num_domains):
+        n_d = sum(counts[d][c] for c in range(c_count))
+        if n_d == 0:
+            raise ValidationError(f"domain {d} has no training samples")
+        probs[d] = np.array([(counts[d][c] + 1.0) / (n_d + c_count)
+                             for c in range(c_count)])
+    to_uniform = {
+        d: float(np.sum(p * np.log(p * c_count))) for d, p in probs.items()
+    }
+    pairwise = {}
+    for d in range(ds.num_domains):
+        for d2 in range(ds.num_domains):
+            if d != d2:
+                pairwise[(d, d2)] = float(
+                    np.sum(probs[d] * np.log(probs[d] / probs[d2])))
+    return {"to_uniform": to_uniform, "pairwise": pairwise}
 
 
 def csv_writer_save(ds, path):
@@ -47,7 +145,8 @@ def split_bits(splits):
 
 
 def dataset_bits(ds):
-    return (split_bits((ds.train, ds.val, ds.test)), ds.counts,
+    return (split_bits((ds.train, ds.val, ds.test)),
+            (ds.counts.dtype.str, ds.counts.shape, ds.counts.tobytes()),
             ds.num_domains, ds.num_classes, ds.input_dim)
 
 
@@ -101,10 +200,10 @@ class TestGenerate:
 
     def test_counts_match_train(self, tiny_dataset):
         ds = tiny_dataset
-        for (d, c), n in ds.counts.items():
+        for (d, c), n in np.ndenumerate(ds.counts):
             mask = (ds.train.domain == d) & (ds.train.label == c)
             assert mask.sum() == n
-        assert sum(ds.counts.values()) == len(ds.train)
+        assert ds.counts.sum() == len(ds.train)
 
     def test_val_test_balanced(self, tiny_dataset):
         ds = tiny_dataset
@@ -148,6 +247,25 @@ class TestGenerate:
                 class_separation=1.0, noise_std=1.0,
                 test_per_pair=2, val_per_pair=2, seed=0,
             )
+
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_matches_per_pair_oracle(self, name):
+        spec = ORACLE_SPECS[name]()
+        ds = generate(spec)
+        splits, counts = generate_oracle(spec)
+        assert split_bits((ds.train, ds.val, ds.test)) == split_bits(splits)
+        assert ds.counts.dtype == np.int64
+        assert ds.counts.shape == (spec.num_domains, spec.num_classes)
+        assert {k: int(n) for k, n in np.ndenumerate(ds.counts)} == counts
+        assert (ds.num_domains, ds.num_classes, ds.input_dim) \
+            == (spec.num_domains, spec.num_classes, spec.input_dim)
+
+    def test_no_training_rows_rejected(self):
+        spec = dataclasses.replace(
+            tiny_spec(), zero_pairs=frozenset(
+                (d, c) for d in range(2) for c in range(3)))
+        with pytest.raises(ValidationError, match="no training samples"):
+            generate(spec)
 
     def test_roundtrip_csv(self, tmp_path, tiny_dataset):
         ds = with_extreme_features(tiny_dataset)
@@ -226,14 +344,14 @@ class TestDatasetCsv:
 
         def outcome(load):
             try:
-                splits, dim = load(path)
+                splits = load(path)
             except Exception as exc:  # the same error, message and all
                 return type(exc), str(exc)
-            return split_bits(splits), dim
+            return split_bits(splits), splits[0].x.shape[1]
 
         def loaded(path):
             ds = load_dataset(path)
-            return (ds.train, ds.val, ds.test), ds.input_dim
+            return ds.train, ds.val, ds.test
 
         assert outcome(loaded) == outcome(datagen._load_rows)
         assert (datagen._parse_rows(text) is not None) == one_pass
@@ -326,6 +444,22 @@ class TestLabelDivergence:
         assert report["to_uniform"][0] == pytest.approx(expected, rel=1e-12)
         assert expected < math.log(c_count)  # smoothing shrinks it below ln C
         assert report["to_uniform"][0] > 0.9 * math.log(c_count)
+
+    @pytest.mark.parametrize("name", list(ORACLE_SPECS))
+    def test_matches_per_pair_oracle(self, name):
+        ds = generate(ORACLE_SPECS[name]())
+        assert label_divergence(ds) == label_divergence_oracle(ds)
+
+    def test_empty_domain_named(self):
+        spec = dataclasses.replace(tiny_spec(seed=2), zero_pairs=frozenset(
+            (1, c) for c in range(3)))
+        ds = generate(spec)
+        with pytest.raises(ValidationError,
+                           match="^domain 1 has no training samples$"):
+            label_divergence_oracle(ds)
+        with pytest.raises(ValidationError,
+                           match="^domain 1 has no training samples$"):
+            label_divergence(ds)
 
     def test_all_divergences_nonnegative(self):
         ds = generate(tiny_spec(seed=8))

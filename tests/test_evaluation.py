@@ -7,6 +7,7 @@ from boda import model
 from boda.datagen import Dataset, Split, generate
 from boda.errors import ValidationError
 from boda.evaluation import (
+    _rankdata,
     accuracy_report,
     shot_region,
     stats_accuracy_correlation,
@@ -44,8 +45,8 @@ def two_blob_dataset(seed=0, n_train=(30, 30), n_test=20):
 
     train = split(n_train)
     test = split(n_test)
-    counts = {(d, c): n_train[c] for d in range(2) for c in range(2)}
-    return Dataset(train, test, test, counts, 2, 2, 2)
+    counts = np.array([n_train] * 2, dtype=np.int64)  # [d, c] = n_train[c]
+    return Dataset(train, test, test, counts)
 
 
 class TestShotRegion:
@@ -115,6 +116,41 @@ class TestAccuracyReport:
         r2 = accuracy_report(p, shuffled)
         assert r1.per_pair == r2.per_pair
         assert r1.average == r2.average
+
+
+def rankdata_oracle(x):
+    """The tie-block loop that ``_rankdata`` replaced: stable sort, then each
+    run of equal values gets the mean of its 1-based positions (NaN equals
+    nothing, so each NaN is its own run)."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size)
+    sorted_x = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestRankdata:
+    def test_matches_tie_block_oracle(self):
+        rng = make_rng(31)
+        for _ in range(300):
+            size = int(rng.integers(0, 200))
+            x = rng.integers(0, size // 3 + 1, size).astype(np.float64)
+            x[rng.random(size) < rng.random()] = np.nan  # up to all NaN
+            np.testing.assert_array_equal(_rankdata(x), rankdata_oracle(x))
+
+    def test_each_nan_ranked_in_input_order(self):
+        x = np.full(40, np.nan)
+        x[::5] = 1.0
+        ranks = _rankdata(x)
+        np.testing.assert_array_equal(ranks[::5], 4.5)
+        nan_ranks = ranks[np.isnan(x)]
+        np.testing.assert_array_equal(nan_ranks, np.arange(9.0, 41.0))
 
 
 class FakeRecord:

@@ -176,8 +176,7 @@ class TestDiagnostics:
                             tiny_dataset.num_classes, seed=4)
         expected = self._expected(params, tiny_dataset)
         calls = self._count_calls(monkeypatch)
-        alpha, beta, gamma, gap = trainer._diagnostics(params, tiny_dataset,
-                                                       1.0)
+        alpha, beta, gamma, gap = trainer._diagnostics(params, tiny_dataset)
         assert len(calls["build_graph"]) == 1
         assert len(calls["distances"]) == 1
         assert (alpha, beta, gamma) == (expected.alpha, expected.beta,
@@ -191,7 +190,7 @@ class TestDiagnostics:
         params = model.init(ds.input_dim, (8,), 4, ds.num_classes, seed=4)
         expected = self._expected(params, ds)
         calls = self._count_calls(monkeypatch)
-        alpha, beta, gamma, gap = trainer._diagnostics(params, ds, 1.0)
+        alpha, beta, gamma, gap = trainer._diagnostics(params, ds)
         assert len(calls["build_graph"]) == 1
         assert len(calls["distances"]) == 1
         assert (alpha, beta, gamma) == (expected.alpha, expected.beta,
@@ -288,7 +287,7 @@ class TestSweep:
         params, _ = train(tiny_dataset, fast_cfg(
             lr=r.lr, hidden=(r.hidden, r.hidden), seed=r.seed, eval_every=60))
         assert (r.alpha, r.beta, r.gamma) \
-            == diagnostics(params, tiny_dataset, fast_cfg().nu)[:3]
+            == diagnostics(params, tiny_dataset)[:3]
 
     def test_zero_trials_rejected(self, tiny_dataset):
         with pytest.raises(ValidationError):
