@@ -24,7 +24,8 @@ from .fileio import atomic_open, check_json_object, write_json
 from .numerics import make_rng
 
 PROFILE_KINDS = ("uniform", "forward_lt", "backward_lt")
-MAX_GRID_PAIRS = 100_000  # CSV domain x class grid cap; DomainNet-MLT: 2,070
+MAX_GRID_PAIRS = 100_000  # domain x class grid cap; DomainNet-MLT: 2,070
+MAX_ROWS = 10_000_000  # cap on a spec's rows over all three splits
 _SPLITS = ("train", "val", "test")
 
 
@@ -87,6 +88,17 @@ class DatasetSpec:
                 "class_separation and noise_std must be finite and > 0")
         if self.test_per_pair < 1 or self.val_per_pair < 1:
             raise ValidationError("test_per_pair and val_per_pair must be >= 1")
+        pairs = self.num_domains * self.num_classes
+        if pairs > MAX_GRID_PAIRS:
+            raise ValidationError(
+                f"{pairs} domain-class pairs exceed the cap of {MAX_GRID_PAIRS}")
+        # Training rows before zero pairs are removed, so an upper bound.
+        rows = sum(sum(profile_counts(p, self.num_classes))
+                   for p in self.profiles) \
+            + (self.test_per_pair + self.val_per_pair) * pairs
+        if rows > MAX_ROWS:
+            raise ValidationError(
+                f"the spec asks for {rows} rows, above the cap of {MAX_ROWS}")
         for d, c in self.zero_pairs:
             if not (0 <= d < self.num_domains and 0 <= c < self.num_classes):
                 raise ValidationError(f"zero pair ({d},{c}) out of range")

@@ -24,6 +24,11 @@ from .errors import ValidationError
 from .fileio import atomic_open, write_json
 from .numerics import BLOCK_ELEMS, inverse_shrunk, sym_eig
 
+# Expanded-form Euclidean squares below NEAR_TAU * (|z|^2 + |mu|^2) are
+# recomputed from exact differences; every other entry then carries a
+# relative error of about eps / NEAR_TAU at most.
+NEAR_TAU = 1e-2
+
 
 class StatsStore:
     """Statistics of K sampled (domain, class) pairs, stacked in key order.
@@ -160,11 +165,15 @@ class TransferabilityGraph:
 
 
 def distances(z, store: StatsStore, metric: str = "euclidean") -> np.ndarray:
-    """(N, K) distances from each row of ``z`` to each centroid of ``store``,
-    from exact differences ``z - mu`` (an expanded square would cancel near a
-    centroid) in blocks of about ``BLOCK_ELEMS``: Euclidean by rows,
-    Mahalanobis by destinations, one batched product with the store's cached
-    shrunk inverses per block."""
+    """(N, K) distances from each row of ``z`` to each centroid of ``store``.
+
+    Euclidean: the expanded square ``|z|^2 + |mu|^2 - 2 z . mu`` with one
+    GEMM for the cross term, finished in row blocks of about
+    ``BLOCK_ELEMS``; each entry below ``NEAR_TAU`` of its ``|z|^2 + |mu|^2``
+    (where the expansion would cancel) is recomputed from the exact
+    difference ``z - mu``. Mahalanobis: exact differences by destination
+    blocks, one batched product with the store's cached shrunk inverses per
+    block."""
     return _distances(z, store, metric)[0]
 
 
@@ -179,12 +188,24 @@ def _distances(z, store, metric, keep=False):
         raise ValidationError("feature dimension does not match statistics")
     dist = np.empty((len(z), len(mus)))
     if metric == "euclidean":
-        step = max(1, BLOCK_ELEMS // mus.size)
+        # One GEMM over every row: BLAS may round a row differently at
+        # another block height, so blocking it would make bits depend on
+        # BLOCK_ELEMS.
+        np.matmul(z, mus.T, out=dist)
+        zz = np.square(z).sum(axis=1)
+        mm = np.square(mus).sum(axis=1)
+        step = max(1, BLOCK_ELEMS // max(len(mus), 1))
         for r in range(0, len(z), step):
-            diff = z[r:r + step, None, :] - mus[None, :, :]
-            dist[r:r + step] = np.sqrt(
-                np.maximum(np.square(diff, out=diff).sum(axis=2), 0.0)
-            )
+            sq = dist[r:r + step]
+            norms = zz[r:r + step, None] + mm
+            sq *= -2.0
+            sq += norms
+            norms *= NEAR_TAU
+            rows, cols = np.nonzero(sq < norms)
+            if rows.size:
+                diff = z[r + rows] - mus[cols]
+                sq[rows, cols] = np.square(diff, out=diff).sum(axis=1)
+            np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
         return dist, None
     y = np.empty((len(mus),) + z.shape) if keep else None
     step = max(1, BLOCK_ELEMS // max(z.size, 1))

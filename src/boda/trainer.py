@@ -264,6 +264,8 @@ def retrain_classifier(params: model.ModelParams, ds: Dataset,
     opt = _Optimizer(cls_grad.size, cfg.optimizer, cfg.lr)
 
     alpha, beta, gamma, bound_gap = _diagnostics(out, ds)
+    # The encoder is frozen: encode the training rows once, gather per batch.
+    z_train = encode_features(out, ds.train)
     rows = []
     for step in range(cfg.decouple_steps):
         pick_pair = rng.integers(0, len(pairs), size=batch)
@@ -271,7 +273,8 @@ def retrain_classifier(params: model.ModelParams, ds: Dataset,
             rng.random(batch) * pair_sizes[pick_pair]
         ).astype(np.int64)
         batch_idx = members[starts[pick_pair] + offsets]
-        z, logits, _ = model.forward(out, ds.train.x[batch_idx])
+        z = z_train[batch_idx]
+        logits = z @ out.cls_w.T + out.cls_b
         ce, grad_logits = losses.ce_loss_batch(logits,
                                                ds.train.label[batch_idx])
         np.matmul(grad_logits.T, z, out=grad.cls_w)

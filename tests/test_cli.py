@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from boda import cli, losses, model, stats, trainer
-from boda.datagen import (DatasetSpec, DomainShift, LabelProfile,
-                          load_dataset, save_spec, spec_to_dict)
+from boda.datagen import (MAX_GRID_PAIRS, DatasetSpec, DomainShift,
+                          LabelProfile, load_dataset, save_spec, spec_to_dict)
 from boda.fileio import write_json
 from boda.trainer import TrainConfig
 
@@ -103,11 +103,19 @@ class TestGen:
         lambda data: data.update(noise=0.5),
         lambda data: data["profiles"][1].update(ratio=3.0),
         lambda data: data["domain_shift"][0].update(scale=2.0),
+        # sizes past the grid and row caps, before anything is allocated
+        lambda data: data.update(test_per_pair=2 ** 70),
+        lambda data: data.update(val_per_pair=2 ** 70),
+        lambda data: data["profiles"][0].update(max_count=2 ** 70),
+        lambda data: data.update(test_per_pair=10 ** 12),
+        lambda data: data.update(num_classes=MAX_GRID_PAIRS),
     ], ids=["max_count", "zero_pairs", "nan_noise", "inf_separation",
             "nan_rotation", "inf_translation", "nan_imbalance",
             "float_num_domains", "float_test_per_pair", "float_max_count",
             "string_seed", "string_input_dim", "float_zero_pair",
-            "unknown_field", "unknown_profile_field", "unknown_shift_field"])
+            "unknown_field", "unknown_profile_field", "unknown_shift_field",
+            "huge_test_per_pair", "huge_val_per_pair", "huge_max_count",
+            "test_rows_over_cap", "grid_over_cap"])
     def test_bad_value_exit_2(self, tmp_path, capsys, edit):
         data = spec_to_dict(tiny_spec())
         edit(data)
